@@ -10,7 +10,7 @@
 // re-run *serially* — the sim-kind series projection must be byte-identical
 // whether the run executed on a PDS_BENCH_JOBS worker thread or inline,
 // which is the worker-pool half of the `timeseries-deterministic` gate
-// (tab_scale covers the shard-thread half).
+// (tab_scale's same-seed sampled re-run covers the other half).
 #include <cstdio>
 #include <string>
 

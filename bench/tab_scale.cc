@@ -14,23 +14,19 @@
 //              wall seconds, simulator events/sec, peak RSS.
 //   oracle     smallest grid run twice (kCalendar vs kHeap): every outcome
 //              bit must match — the calendar queue is only an optimisation.
-//   shards     smallest grid PDD across shard_threads 1/2/8 with the
-//              candidate threshold forced to 0 so the worker pool engages:
-//              outcomes must be bit-identical regardless of thread count.
 //   stats      flight-recorder summary (DESIGN.md §15): the largest grid's
 //              PDR run is sampled at 1 Hz sim time (full capture written to
-//              STATS_scale.ndjson for `pdscli stats`), and the shard runs
-//              above each re-capture the same series — the sim-kind
-//              projection must be byte-identical across thread counts.
+//              STATS_scale.ndjson for `pdscli stats`), and the smallest
+//              grid's PDD run is sampled twice with the same seed — the
+//              sim-kind projections must be byte-identical.
 //
-// Exit status: nonzero when the oracle, shard outcomes or shard series
+// Exit status: nonzero when the oracle outcomes or the re-run series
 // diverge, or when the env floors below are set and missed (CI sets them;
 // default 0 = report only, so laptops and debug builds stay green).
 //
 // Flags / env (invalid values are fatal, never silently defaulted):
 //   --smoke                     1k + 5k grids only, shorter hold model (CI)
 //   --tiny                      a few hundred nodes, minimal ops (TSan CI)
-//   PDS_SIM_SHARDS              shard_threads for the scenario sweep
 //   PDS_SCALE_MIN_EVENTS_PER_S  floor on every scenario's PDD events/sec
 //   PDS_SCALE_MIN_SCHED_SPEEDUP floor on the calendar/heap speedup at the
 //                               largest pending count
@@ -145,7 +141,7 @@ struct ScenarioResult {
   double pdr_wall_s = 0.0;
 };
 
-wl::PddGridParams pdd_params(std::size_t side, int shard_threads) {
+wl::PddGridParams pdd_params(std::size_t side) {
   wl::PddGridParams p;
   p.nx = side;
   p.ny = side;
@@ -155,12 +151,11 @@ wl::PddGridParams pdd_params(std::size_t side, int shard_threads) {
   p.metadata_count = 500;
   p.redundancy = 2;
   p.consumers = 1;
-  p.radio.shard_threads = shard_threads;
   p.seed = 1;
   return p;
 }
 
-wl::RetrievalGridParams pdr_params(std::size_t side, int shard_threads) {
+wl::RetrievalGridParams pdr_params(std::size_t side) {
   wl::RetrievalGridParams p;
   p.nx = side;
   p.ny = side;
@@ -171,7 +166,6 @@ wl::RetrievalGridParams pdr_params(std::size_t side, int shard_threads) {
   // not by the sim core this bench measures.
   p.redundancy = std::max<int>(2, static_cast<int>((side * side) / 64));
   p.consumers = 1;
-  p.radio.shard_threads = shard_threads;
   p.seed = 1;
   return p;
 }
@@ -179,12 +173,11 @@ wl::RetrievalGridParams pdr_params(std::size_t side, int shard_threads) {
 // `stats`, when non-null, flight-records the PDR run (the memory-heavy leg:
 // cached chunk bytes, reassembly buffers) and profiles both legs. Sampling
 // reads state only, so outcomes are identical with or without it.
-ScenarioResult run_scenario(std::size_t side, int shard_threads,
-                            bench::StatsCapture* stats) {
+ScenarioResult run_scenario(std::size_t side, bench::StatsCapture* stats) {
   ScenarioResult r;
   r.nodes = side * side;
-  wl::PddGridParams pp = pdd_params(side, shard_threads);
-  wl::RetrievalGridParams rp = pdr_params(side, shard_threads);
+  wl::PddGridParams pp = pdd_params(side);
+  wl::RetrievalGridParams rp = pdr_params(side);
   if (stats != nullptr) {
     stats->reset();
     pp.profiler = stats->profiler();
@@ -217,19 +210,17 @@ int run(bool smoke, bool tiny) {
       : smoke ? std::vector<std::size_t>{32, 71}
               : std::vector<std::size_t>{32, 71, 141, 224};
   const std::uint64_t hold_ops = tiny ? 20'000 : smoke ? 400'000 : 1'000'000;
-  const int shard_threads = bench::env_positive_int("PDS_SIM_SHARDS", 1);
 
   obs::Report::Options options;
   options.experiment = "scale";
   options.title = "tab_scale — city-scale sim core sweep";
   options.paper =
-      "engineering benchmark (not a paper figure): calendar scheduler, SoA "
-      "radio and sharded execution must hold the scale envelope";
+      "engineering benchmark (not a paper figure): calendar scheduler and "
+      "SoA radio must hold the scale envelope";
   options.runs = 1;
   options.jobs = 1;
   obs::Report report{std::move(options)};
   report.set_param("mode", tiny ? "tiny" : smoke ? "smoke" : "full");
-  report.set_param("shard_threads", static_cast<std::int64_t>(shard_threads));
 
   // Scheduler hold model at pending counts matching the node sweep.
   report.begin_table("scheduler", {"pending", "calendar ev/s", "heap ev/s",
@@ -258,8 +249,8 @@ int run(bool smoke, bool tiny) {
   bench::StatsCapture capture;
   for (const std::size_t side : sides) {
     // Flight-record the largest grid — the run the RSS budget gate judges.
-    const ScenarioResult r = run_scenario(
-        side, shard_threads, side == sides.back() ? &capture : nullptr);
+    const ScenarioResult r =
+        run_scenario(side, side == sides.back() ? &capture : nullptr);
     const double pdd_eps = r.pdd_wall_s > 0.0
                                ? static_cast<double>(r.pdd.events_executed) /
                                      r.pdd_wall_s
@@ -292,7 +283,7 @@ int run(bool smoke, bool tiny) {
   // Oracle parity: the calendar queue against the heap on the smallest
   // grid. Every observable outcome (including the event count) must match.
   const std::size_t oracle_side = sides.front();
-  wl::PddGridParams oracle = pdd_params(oracle_side, /*shard_threads=*/1);
+  wl::PddGridParams oracle = pdd_params(oracle_side);
   const wl::PddOutcome cal_out = wl::run_pdd_grid(oracle);
   oracle.scheduler = sim::SchedulerKind::kHeap;
   const wl::PddOutcome heap_out = wl::run_pdd_grid(oracle);
@@ -308,44 +299,19 @@ int run(bool smoke, bool tiny) {
   std::printf("\noracle parity (%zu nodes): %s\n", oracle_side * oracle_side,
               oracle_identical ? "identical" : "DIVERGED");
 
-  // Shard determinism: identical outcomes for 1/2/8 worker threads, with
-  // the candidate threshold forced to 0 so small grids still shard. Each
-  // run also re-captures the flight-recorder series: the sim-kind
-  // projection must be byte-identical across thread counts too (the
+  // Flight-recorder determinism: the smallest grid's PDD run, sampled twice
+  // with the same seed, must record byte-identical sim-kind series (the
   // `timeseries-deterministic` gate).
-  report.begin_section("shards");
-  const std::vector<int> thread_counts = tiny ? std::vector<int>{1, 2}
-                                              : std::vector<int>{1, 2, 8};
-  bench::StatsCapture shard_capture;
-  std::string first_series;
-  std::vector<wl::PddOutcome> shard_outs;
-  bool shards_identical = true;
-  bool series_identical = true;
-  for (const int threads : thread_counts) {
-    wl::PddGridParams p = pdd_params(sides.front(), threads);
-    p.radio.shard_min_candidates = 0;
-    shard_capture.reset();
-    p.sampler = shard_capture.sampler();
-    p.profiler = shard_capture.profiler();
-    const double t0 = now_s();
-    shard_outs.push_back(wl::run_pdd_grid(p));
-    const double wall = now_s() - t0;
-    const bool same = pdd_outcomes_identical(shard_outs.front(),
-                                             shard_outs.back());
-    shards_identical = shards_identical && same;
-    const std::string series = shard_capture.ndjson(/*include_wall=*/false);
-    if (first_series.empty()) first_series = series;
-    const bool series_same = series == first_series;
-    series_identical = series_identical && series_same;
-    report.point()
-        .param("threads", static_cast<std::int64_t>(threads))
-        .metric("wall_s", wall, 2)
-        .param("identical", same, same ? "yes" : "NO")
-        .param("series_identical", series_same, series_same ? "yes" : "NO");
-    std::printf("shards=%d: wall %.2f s, outcome %s, series %s\n", threads,
-                wall, same ? "identical" : "DIVERGED",
-                series_same ? "identical" : "DIVERGED");
+  std::array<std::string, 2> series;
+  for (std::string& out : series) {
+    bench::StatsCapture rerun;
+    wl::PddGridParams p = pdd_params(sides.front());
+    p.sampler = rerun.sampler();
+    p.profiler = rerun.profiler();
+    (void)wl::run_pdd_grid(p);
+    out = rerun.ndjson(/*include_wall=*/false);
   }
+  const bool series_identical = series[0] == series[1];
 
   // Flight-recorder summary over the largest grid's sampled PDR run; the
   // full capture goes to STATS_scale.ndjson for `pdscli stats`. Utilization
@@ -361,7 +327,7 @@ int run(bool smoke, bool tiny) {
   bench::add_stats_point(stats_point, parsed,
                          static_cast<double>(sides.back() * sides.back()));
   std::printf("\nflight recorder: %zu rows over the %zu-node PDR run, "
-              "series across shard threads %s\n",
+              "same-seed re-run series %s\n",
               parsed.rows.size(), sides.back() * sides.back(),
               series_identical ? "identical" : "DIVERGED");
 
@@ -374,7 +340,8 @@ int run(bool smoke, bool tiny) {
   }
   if (!series_identical) {
     std::fprintf(stderr,
-                 "FAIL: flight-recorder series depends on thread count\n");
+                 "FAIL: flight-recorder series differs between same-seed "
+                 "runs\n");
     rc = 1;
   }
   if (report.write_json()) {
@@ -385,10 +352,6 @@ int run(bool smoke, bool tiny) {
   if (!oracle_identical) {
     std::fprintf(stderr, "FAIL: calendar and heap scheduler outcomes "
                          "diverge\n");
-    rc = 1;
-  }
-  if (!shards_identical) {
-    std::fprintf(stderr, "FAIL: sharded outcomes depend on thread count\n");
     rc = 1;
   }
   const double min_eps =

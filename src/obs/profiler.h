@@ -6,9 +6,8 @@
 // registered in tools/stats_schema.h (pdslint rule `stats-schema`).
 //
 // Threading: accumulation is atomic and the current-scope cursor is
-// thread-local, so shard workers (sim/shard_executor.h) and
-// bench::run_indexed seed workers can all hold scopes against the same
-// Profiler concurrently. Tree registration takes a mutex but only on first
+// thread-local, so bench::run_indexed seed workers can all hold scopes
+// against the same Profiler concurrently. Tree registration takes a mutex but only on first
 // sight of a (parent, name) pair; steady state is two atomic adds per scope.
 // `snapshot()` flattens the tree sorted by path — the *structure* is
 // deterministic for a deterministic run even though the wall durations are
@@ -60,7 +59,7 @@ class Profiler {
   };
 
   struct Entry {
-    std::string path;  // "sim/radio/classify-shards"
+    std::string path;  // "sim/pdd/transport"
     int depth = 0;
     std::int64_t ns = 0;
     std::uint64_t calls = 0;

@@ -13,7 +13,7 @@
 //
 // Columns carry a kind:
 //  * kSim  — derived purely from simulation state; byte-identical for the
-//    same seed across shard_threads and PDS_BENCH_JOBS (the
+//    same seed across PDS_BENCH_JOBS and sampled re-runs (the
 //    `timeseries-deterministic` gate compares this projection);
 //  * kWall — address-space / wall-clock facts (peak RSS, thread-local pool
 //    occupancy) that legitimately vary with thread count; excluded from the

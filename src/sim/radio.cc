@@ -35,11 +35,6 @@ RadioMedium::RadioMedium(Simulator& sim, RadioConfig cfg)
   // carrier-sense radius never touches the grid (see transmitting_).
   cell_size_m_ = interference_range();
   PDS_ENSURE(cell_size_m_ > 0.0);
-
-  const int threads = std::max(1, cfg_.shard_threads);
-  if (threads > 1) shards_ = std::make_unique<ShardExecutor>(threads);
-  shard_receivers_.resize(static_cast<std::size_t>(threads));
-  shard_half_duplex_.resize(static_cast<std::size_t>(threads), 0);
 }
 
 RadioMedium::Index RadioMedium::index_of(NodeId id) const {
@@ -407,72 +402,41 @@ void RadioMedium::start_transmission(Index idx) {
       candidates_near(idx, sender_pos, interference);
 
   // Classify every candidate: does this transmission reach it, decodably or
-  // as interference, and does it survive half-duplex? The per-candidate work
-  // consumes no RNG and writes only receiver-private state (receptions,
-  // rx_airtime) plus per-shard partials, so it may run sharded; partials
-  // merge in fixed shard order below, making the result byte-identical to
-  // the serial loop for any thread count (DESIGN.md §13).
-  auto classify = [&](std::size_t begin, std::size_t end, std::size_t shard) {
-    std::vector<Index>& out = shard_receivers_[shard];
-    std::uint64_t half_duplex = 0;
-    for (std::size_t c = begin; c < end; ++c) {
-      const Index ridx = cands[c];
-      if (enabled_[ridx] == 0) continue;
-      const double new_dist = distance(sender_pos, pos_[ridx]);
-      if (new_dist > interference) continue;
-      const bool decodable = new_dist <= cfg_.range_m;
-      if (tx_active_[ridx] != 0) {
-        // Half-duplex: a busy transmitter cannot decode incoming frames.
-        if (decodable) ++half_duplex;
-        continue;
-      }
-      NodeState& rx = states_[ridx];
-      // Overlapping receptions interfere; a frame survives only if its
-      // transmitter is decisively closer than the competing one (physical
-      // capture). Hidden terminals — senders out of each other's
-      // carrier-sense range whose signals meet at this receiver, possibly
-      // too weak to decode but strong enough to corrupt — are what make
-      // multi-hop floods lossy.
-      if (decodable) rx.activity.rx_airtime += airtime;
-      Reception incoming{.tx_seq = tx_seq,
-                         .sender_distance = new_dist,
-                         .corrupted = false,
-                         .decodable = decodable};
-      for (Reception& ongoing : rx.receptions) {
-        if (new_dist > ongoing.sender_distance * cfg_.capture_ratio) {
-          incoming.corrupted = true;
-        }
-        if (ongoing.sender_distance > new_dist * cfg_.capture_ratio) {
-          ongoing.corrupted = true;
-        }
-      }
-      rx.receptions.push_back(incoming);
-      out.push_back(ridx);
-    }
-    shard_half_duplex_[shard] = half_duplex;
-  };
-
-  if (shards_ && cands.size() >= cfg_.shard_min_candidates) {
-    PDS_PROF_SCOPE(sim_.profiler(), "classify-shards");
-    shards_->run(cands.size(), classify);
-  } else {
-    classify(0, cands.size(), 0);
-    for (std::size_t s = 1; s < shard_receivers_.size(); ++s) {
-      shard_receivers_[s].clear();
-      shard_half_duplex_[s] = 0;
-    }
-  }
-
-  // Merge per-shard partials in shard order: shards cover contiguous,
-  // ascending candidate ranges, so concatenation reproduces the serial
-  // receiver order exactly.
+  // as interference, and does it survive half-duplex? Receivers keep
+  // candidate order, which fixes the delivery order below.
   std::vector<Index> receivers = receiver_pool_.acquire();
-  for (std::size_t s = 0; s < shard_receivers_.size(); ++s) {
-    std::vector<Index>& part = shard_receivers_[s];
-    receivers.insert(receivers.end(), part.begin(), part.end());
-    part.clear();
-    stats_.losses_half_duplex += shard_half_duplex_[s];
-    shard_half_duplex_[s] = 0;
+  for (const Index ridx : cands) {
+    if (enabled_[ridx] == 0) continue;
+    const double new_dist = distance(sender_pos, pos_[ridx]);
+    if (new_dist > interference) continue;
+    const bool decodable = new_dist <= cfg_.range_m;
+    if (tx_active_[ridx] != 0) {
+      // Half-duplex: a busy transmitter cannot decode incoming frames.
+      if (decodable) ++stats_.losses_half_duplex;
+      continue;
+    }
+    NodeState& rx = states_[ridx];
+    // Overlapping receptions interfere; a frame survives only if its
+    // transmitter is decisively closer than the competing one (physical
+    // capture). Hidden terminals — senders out of each other's
+    // carrier-sense range whose signals meet at this receiver, possibly
+    // too weak to decode but strong enough to corrupt — are what make
+    // multi-hop floods lossy.
+    if (decodable) rx.activity.rx_airtime += airtime;
+    Reception incoming{.tx_seq = tx_seq,
+                       .sender_distance = new_dist,
+                       .corrupted = false,
+                       .decodable = decodable};
+    for (Reception& ongoing : rx.receptions) {
+      if (new_dist > ongoing.sender_distance * cfg_.capture_ratio) {
+        incoming.corrupted = true;
+      }
+      if (ongoing.sender_distance > new_dist * cfg_.capture_ratio) {
+        ongoing.corrupted = true;
+      }
+    }
+    rx.receptions.push_back(incoming);
+    receivers.push_back(ridx);
   }
 
   // One completion event per transmission, iterating receivers in candidate

@@ -34,7 +34,6 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/position.h"
-#include "sim/shard_executor.h"
 #include "sim/simulator.h"
 
 namespace pds::obs {
@@ -123,17 +122,6 @@ struct RadioConfig {
   // baseline. Both paths produce bit-identical results for the same seed
   // (DESIGN.md §"Spatial index").
   bool use_spatial_grid = true;
-
-  // Deterministic intra-run parallelism: total threads (including the sim
-  // thread) classifying delivery fan-out for large candidate sets. The
-  // sharded phase consumes no RNG, writes only receiver-private state plus
-  // per-shard partials, and partials merge in fixed shard order, so results
-  // are byte-identical for any value (DESIGN.md §13; trace_determinism_test
-  // asserts 1/2/8 agree). 1 = serial.
-  int shard_threads = 1;
-  // Fan-outs below this stay serial even when shard_threads > 1: waking the
-  // worker pool costs more than scanning a small candidate list.
-  std::size_t shard_min_candidates = 192;
 };
 
 // Calibrated radio environments.
@@ -267,9 +255,8 @@ class RadioMedium {
   [[nodiscard]] TxCellOccupancy tx_cell_occupancy() const;
   // Total OS send-buffer backlog across all nodes (bytes).
   [[nodiscard]] std::size_t total_os_backlog_bytes() const;
-  // Receiver-list vectors parked in the recycling pool. Per-run state used
-  // identically by the serial and sharded paths, so it samples as a
-  // deterministic sim column.
+  // Receiver-list vectors parked in the recycling pool. Per-run state, so it
+  // samples as a deterministic sim column.
   [[nodiscard]] std::size_t receiver_pool_parked() const {
     return receiver_pool_.parked();
   }
@@ -420,12 +407,7 @@ class RadioMedium {
   std::vector<Index> transmitting_;
   mutable std::vector<Index> scratch_;  // candidate buffer, reused per query
 
-  // -- Sharded fan-out classification (cfg_.shard_threads > 1) ---------------
-  std::unique_ptr<ShardExecutor> shards_;
-  // Per-shard partials, merged in shard order after every sharded phase.
-  std::vector<std::vector<Index>> shard_receivers_;
-  std::vector<std::uint64_t> shard_half_duplex_;
-  // Recycles the merged receiver list each transmission carries into its
+  // Recycles the receiver list each transmission carries into its
   // completion event.
   VectorPool<Index> receiver_pool_;
 

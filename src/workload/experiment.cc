@@ -224,10 +224,9 @@ RetrievalOutcome run_retrieval_grid(const RetrievalGridParams& params) {
   setup.ny = params.ny;
   setup.radio = params.contended_medium ? sim::contended_radio_profile()
                                         : sim::clean_radio_profile();
-  // Mechanical knobs (index/parallelism choices that never change outcomes)
-  // come from the caller's radio config; the physics stays profile-driven.
+  // Mechanical knobs (index choices that never change outcomes) come from
+  // the caller's radio config; the physics stays profile-driven.
   setup.radio.use_spatial_grid = params.radio.use_spatial_grid;
-  setup.radio.shard_threads = params.radio.shard_threads;
   setup.scheduler = params.scheduler;
   setup.pds = params.pds;
   setup.node_config = params.node_config;

@@ -126,7 +126,7 @@ struct RetrievalGridParams {
   // Retrieval experiments default to the clean radio profile (see
   // sim/radio.h on the paper's two regimes).
   bool contended_medium = false;
-  // Lets scale benches flip radio knobs (spatial grid, shard threads) while
+  // Lets scale benches flip radio knobs (the spatial grid) while
   // holding the retrieval workload fixed; range still comes from geometry.
   sim::RadioConfig radio;
   sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar;

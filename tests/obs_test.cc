@@ -245,6 +245,15 @@ TEST(TraceReader, RejectsMalformedLines) {
   const auto events = tools::read_trace(in, bad_line);
   EXPECT_EQ(events.size(), 1u);
   EXPECT_EQ(bad_line, 2u);
+  // Each contract violation on its own: not an object, missing `sub`,
+  // missing `ev`, a `ph` longer than one character, non-object `args`.
+  for (const char* line :
+       {"[1]", "\"s\"", "{\"t\":1,\"ph\":\"i\",\"ev\":\"e\"}",
+        "{\"t\":1,\"ph\":\"i\",\"sub\":\"s\"}",
+        "{\"ph\":\"ix\",\"sub\":\"s\",\"ev\":\"e\"}",
+        "{\"sub\":\"s\",\"ev\":\"e\",\"args\":[1]}"}) {
+    EXPECT_FALSE(tools::parse_trace_line(line).has_value()) << line;
+  }
 }
 
 TEST(TimeSeries, CommitsOneRowPerBoundaryAndSkipsStale) {

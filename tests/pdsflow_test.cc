@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "tools/flow_analysis.h"
+#include "tools/flow_engine.h"
 #include "tools/report_reader.h"
 
 namespace pds::flow {

@@ -116,7 +116,7 @@ TEST(PdslintRules, AmbientParallelismWhitelistedForJobsHelper) {
   EXPECT_EQ(count_rule(run(src, "bench/parallel_runs.h"),
                        "ambient-parallelism"),
             0);
-  EXPECT_EQ(count_rule(run(src, "src/sim/shard_executor.cc"),
+  EXPECT_EQ(count_rule(run(src, "src/sim/radio.cc"),
                        "ambient-parallelism"),
             1);
 }

@@ -12,7 +12,7 @@
 
 #include "bench_common.h"
 #include "obs/report.h"
-#include "tools/flow_analysis.h"
+#include "tools/flow_engine.h"
 #include "tools/report_checks.h"
 #include "tools/report_reader.h"
 #include "util/stats.h"

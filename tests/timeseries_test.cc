@@ -1,8 +1,8 @@
 // The flight recorder must be a pure observer (DESIGN.md §15): with the
 // same seed, (a) attaching a sampler + profiler leaves every experiment
 // outcome bit-identical to the unsampled run, (b) the deterministic (sim-
-// kind) series projection is byte-identical across RadioConfig::shard_threads
-// 1/2/8 and across PDS_BENCH_JOBS worker pools, and (c) the scenario
+// kind) series projection is byte-identical across PDS_BENCH_JOBS worker
+// pools, and (c) the scenario
 // collector populates exactly the columns registered in
 // tools/stats_schema.h with sane (non-negative, cumulative-monotone) values.
 #include <gtest/gtest.h>
@@ -72,31 +72,6 @@ TEST(TimeSeriesDeterminism, SampledPdrOutcomeBitIdenticalToUnsampled) {
   EXPECT_EQ(plain.per_consumer_chunk_arrival_s,
             sampled.per_consumer_chunk_arrival_s);
   EXPECT_GT(sampler.row_count(), 0u);
-}
-
-// -- Shard threads -----------------------------------------------------------
-// The sharded radio fan-out (RadioConfig::shard_threads) must not move the
-// deterministic series projection: the collector reads merged state only
-// after the shard barrier, so any thread count samples identical values.
-
-std::string sharded_series(std::uint64_t seed, int threads) {
-  obs::TimeSeries sampler(SimTime::millis(100));
-  PddGridParams p = small_pdd(seed, &sampler);
-  p.radio.shard_threads = threads;
-  p.radio.shard_min_candidates = 0;
-  (void)run_pdd_grid(p);
-  EXPECT_GT(sampler.row_count(), 0u);
-  return sampler.ndjson(/*include_wall=*/false);
-}
-
-TEST(TimeSeriesDeterminism, SeriesBytesIdenticalAcrossShardThreadCounts) {
-  for (const std::uint64_t seed : {21u, 22u}) {
-    const std::string one = sharded_series(seed, 1);
-    const std::string two = sharded_series(seed, 2);
-    const std::string eight = sharded_series(seed, 8);
-    EXPECT_EQ(one, two) << "seed " << seed;
-    EXPECT_EQ(one, eight) << "seed " << seed;
-  }
 }
 
 // -- Worker pools ------------------------------------------------------------

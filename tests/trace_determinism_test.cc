@@ -147,33 +147,6 @@ TEST(TraceDeterminism, PdrOutcomeBitIdenticalAcrossSchedulerKinds) {
             heap.per_consumer_chunk_arrival_s);
 }
 
-// -- Sharded fan-out classification ------------------------------------------
-// Deterministic intra-run parallelism (RadioConfig::shard_threads): the
-// sharded phase consumes no RNG and merges per-shard partials in fixed
-// shard order, so any thread count must yield byte-identical traces. The
-// threshold is forced to zero so even this small topology exercises the
-// worker pool on every transmission.
-
-std::string sharded_ndjson(std::uint64_t seed, int threads) {
-  obs::Tracer tracer(0);
-  PddGridParams p = small_pdd(seed, &tracer);
-  p.radio.shard_threads = threads;
-  p.radio.shard_min_candidates = 0;
-  (void)run_pdd_grid(p);
-  EXPECT_FALSE(tracer.events().empty());
-  return tracer.ndjson();
-}
-
-TEST(TraceDeterminism, NdjsonBytesIdenticalAcrossShardThreadCounts) {
-  for (const std::uint64_t seed : {21u, 22u}) {
-    const std::string one = sharded_ndjson(seed, 1);
-    const std::string two = sharded_ndjson(seed, 2);
-    const std::string eight = sharded_ndjson(seed, 8);
-    EXPECT_EQ(one, two) << "seed " << seed;
-    EXPECT_EQ(one, eight) << "seed " << seed;
-  }
-}
-
 // -- Ring-buffer drops -------------------------------------------------------
 // An analyzed run must never have silently lost events: the tracer counts
 // evictions, write_ndjson appends a trace/drops trailer, and the causal

@@ -1,12 +1,172 @@
-// pdsflow analysis engine (DESIGN.md §17) — part 2 of tools/flow_analysis.h:
-// the taint lattice walker, decode-atomicity event analysis, layering scan
-// and the analyze() entry point. Split from the parser for readability;
-// include tools/flow_analysis.h, never this file directly.
+// pdsflow rule engine (DESIGN.md §17): flow-sensitive static analysis over
+// the per-function statement trees that tools/flow_analysis.h parses, with
+// def-use taint tracking, the layering scan and the analyze() entry point.
+// pdsflow and its tests include this header.
+//
+// Three rule families:
+//
+//   wire-taint       — values originating from ByteReader/varint getters
+//                      (get_u8 ... get_varint, get_string, get_bytes) are
+//                      tainted until compared against a bound; tainted
+//                      values must not reach resize/reserve/assign-count,
+//                      new[] extents, index expressions or loop bounds.
+//                      Interprocedural via per-function summaries: taint
+//                      through locals, arguments and return values.
+//   decode-atomicity — a function that can throw DecodeError must not
+//                      mutate member state (`x_`, `this->x`, references
+//                      bound to members, container mutators) before a later
+//                      potential-throw point; copy-then-swap passes.
+//   layering         — the include graph must follow the architecture DAG
+//                      (common < util < obs < sim < net < core < workload
+//                      < tools < bench/tests/examples); grandfathered edges
+//                      live in a checked-in baseline file.
+//
+// Scope: wire-taint and decode-atomicity run only over files under src/
+// (tests construct malformed inputs on purpose); layering covers the whole
+// tree. Suppress with a pdsflow:allow comment naming rule ids in
+// parentheses on or above the line, or the pdsflow:allow-file form
+// file-wide — audited exactly like pdslint's tags (lint_common.h).
+// PDS_ENSURE aborts rather than throwing,
+// so it counts as validation for taint but never as a throw point.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <set>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "tools/flow_analysis.h"
+#include "tools/lint_common.h"
 
 namespace pds::flow {
+
+using lint::Finding;
+using lint::LexedFile;
+using lint::LintSummary;
+using lint::Severity;
+using lint::Suppressions;
+
+// One input to analyze(); `path` is the repo-relative display path and
+// decides rule scoping (src/ vs the rest).
+struct SourceFile {
+  std::string path;
+  std::string content;
+};
+
+// One waived finding: matches on (rule, file, fingerprint), never on line
+// numbers, so unrelated edits don't invalidate the baseline.
+struct BaselineEntry {
+  std::string rule;
+  std::string file;
+  std::string fingerprint;
+};
+
+struct FlowOptions {
+  std::vector<BaselineEntry> baseline;
+};
+
+struct FlowResult {
+  std::vector<Finding> findings;
+  LintSummary summary;
+};
+
+// ---------------------------------------------------------------------------
+// Baseline file format: `<rule> <file> <fingerprint>` per line, `#` comments.
+
+inline std::vector<BaselineEntry> parse_baseline(std::string_view text) {
+  std::vector<BaselineEntry> out;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    // split on runs of spaces/tabs
+    std::vector<std::string> fields;
+    std::size_t i = 0;
+    while (i < line.size()) {
+      while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+      std::size_t b = i;
+      while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+      if (i > b) fields.emplace_back(line.substr(b, i - b));
+    }
+    if (fields.empty() || fields[0][0] == '#') {
+      if (pos > text.size()) break;
+      continue;
+    }
+    if (fields.size() == 3) out.push_back({fields[0], fields[1], fields[2]});
+    if (pos > text.size()) break;
+  }
+  return out;
+}
+
+// Regenerates the baseline from findings: every finding that is not waived
+// by an inline allow comment (baselined ones included, so the output is a
+// full replacement for the checked-in file). Byte-deterministic.
+inline std::string render_baseline(const std::vector<Finding>& findings) {
+  std::vector<std::string> lines;
+  for (const Finding& f : findings) {
+    if (f.suppressed && !f.baselined) continue;  // inline-suppressed
+    if (f.fingerprint.empty()) continue;
+    lines.push_back(f.rule + " " + f.file + " " + f.fingerprint);
+  }
+  std::sort(lines.begin(), lines.end());
+  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+  std::string out =
+      "# pdsflow baseline — waived findings, one per line:\n"
+      "#   <rule> <file> <fingerprint>\n"
+      "# Regenerate with: pdsflow --write-baseline=tools/pdsflow_baseline.txt\n";
+  for (const std::string& l : lines) {
+    out += l;
+    out += '\n';
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Layering: the architecture DAG. A file may include headers of its own
+// layer or lower ranks; an include pointing at a strictly higher rank is a
+// back-edge. Paths are matched on their first component (after stripping a
+// leading `src/`), so `src/net/codec.cc`, `tools/pdsflow.cc` and
+// `tests/foo.cc` all resolve; includes without a known first component
+// (same-directory, system, third-party) are exempt.
+
+struct LayerSpec {
+  const char* dir;
+  int rank;
+};
+
+inline constexpr LayerSpec kLayers[] = {
+    {"common", 0}, {"util", 1},     {"obs", 2},   {"sim", 3},
+    {"net", 4},    {"core", 5},     {"workload", 6}, {"tools", 7},
+    {"bench", 8},  {"tests", 8},    {"examples", 8},
+};
+
+inline int layer_rank(std::string_view first_component) {
+  for (const LayerSpec& l : kLayers) {
+    if (first_component == l.dir) return l.rank;
+  }
+  return -1;
+}
+
+inline std::string_view first_path_component(std::string_view path) {
+  const std::size_t slash = path.find('/');
+  return slash == std::string_view::npos ? std::string_view{}
+                                         : path.substr(0, slash);
+}
+
+// Layer rank of a repo-relative file path, or -1 when it lives outside the
+// layered tree.
+inline int file_layer_rank(std::string_view path) {
+  if (path.rfind("src/", 0) == 0) path.remove_prefix(4);
+  return layer_rank(first_path_component(path));
+}
 
 namespace flow_detail {
 
@@ -458,8 +618,424 @@ inline void scan_mutations(FnCtx& ctx, const Env& env, std::size_t b,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Statement walker.
+
+inline void walk_stmts(FnCtx& ctx, Env& env, const std::vector<Stmt>& stmts);
+
+// Handles assignments/declarations in a plain statement: updates the taint
+// environment, tracks member-aliasing references, and records member
+// mutation events.
+inline void handle_assignment(FnCtx& ctx, Env& env, std::size_t b,
+                              std::size_t e) {
+  const auto& toks = *ctx.toks;
+  // Find the first top-level simple `=` (not ==, <=, >=, !=, +=, ...).
+  std::size_t eq = e;
+  int d = 0;
+  for (std::size_t i = b; i < e; ++i) {
+    if (toks[i].kind != TokKind::kPunct) continue;
+    const std::string& p = toks[i].text;
+    if (p == "(" || p == "{" || p == "[") ++d;
+    if (p == ")" || p == "}" || p == "]") --d;
+    if (p == "=" && d == 0) {
+      const bool next_eq = i + 1 < e && is_punct(toks[i + 1], "=");
+      const bool prev_op =
+          i > b && toks[i - 1].kind == TokKind::kPunct &&
+          std::string("=!<>+-*/%&|^").find(toks[i - 1].text) !=
+              std::string::npos;
+      if (!next_eq && !prev_op) {
+        eq = i;
+        break;
+      }
+      if (next_eq) ++i;  // skip ==
+    }
+  }
+  if (eq == e) return;
+
+  const EvalResult rhs = eval_expr(ctx, env, eq + 1, e);
+
+  // Locate the assignment target in [b, eq).
+  bool has_bracket = false;
+  std::size_t last_ident = e, first_ident = e;
+  for (std::size_t i = b; i < eq; ++i) {
+    if (is_punct(toks[i], "[")) has_bracket = true;
+    if (toks[i].kind == TokKind::kIdent) {
+      if (first_ident == e) first_ident = i;
+      last_ident = i;
+    }
+  }
+  if (last_ident == e) return;
+
+  const bool member_access =
+      last_ident > b && (is_punct(toks[last_ident - 1], ".") ||
+                         is_punct(toks[last_ident - 1], "->"));
+  if (!has_bracket && !member_access) {
+    // Strong update of a plain variable (declaration or reassignment).
+    const std::string& var = toks[last_ident].text;
+    if (rhs.taint.any()) {
+      env.vars[var] = rhs.taint;
+    } else {
+      env.vars.erase(var);
+    }
+    // Reference declarations bound to member state alias it: mutations
+    // through the reference are member mutations. Iterators obtained from
+    // member containers alias the same way even without `&`.
+    bool lhs_has_amp = false;
+    for (std::size_t i = b; i < eq; ++i) {
+      if (is_punct(toks[i], "&")) lhs_has_amp = true;
+    }
+    bool rhs_touches_member = false;
+    for (std::size_t i = eq + 1; i < e; ++i) {
+      if (toks[i].kind == TokKind::kIdent &&
+          aliases_member(env, toks[i].text)) {
+        rhs_touches_member = true;
+        break;
+      }
+    }
+    bool rhs_is_member_iter = false;
+    for (std::size_t i = eq + 1; i + 2 < e; ++i) {
+      if (toks[i].kind == TokKind::kIdent &&
+          (is_punct(toks[i + 1], ".") || is_punct(toks[i + 1], "->")) &&
+          toks[i + 2].kind == TokKind::kIdent &&
+          (toks[i + 2].text == "find" || toks[i + 2].text == "begin" ||
+           toks[i + 2].text == "end" || toks[i + 2].text == "lower_bound")) {
+        // Only containers that are themselves member state count — the
+        // chain base decides (`sessions_.find(x)` yes, `d.attrs_.begin()`
+        // on a local `d` no).
+        const std::size_t base = chain_base(toks, i + 1, eq + 1);
+        if (base != std::string::npos &&
+            aliases_member(env, toks[base].text)) {
+          rhs_is_member_iter = true;
+          break;
+        }
+      }
+    }
+    // Record the mutation BEFORE registering new aliases: binding a
+    // reference/iterator to member state is not itself a mutation; only
+    // assigning through an alias established earlier is.
+    if (aliases_member(env, var)) {
+      record_event(ctx, false, var, toks[last_ident].line);
+    }
+    if ((lhs_has_amp && rhs_touches_member) || rhs_is_member_iter) {
+      env.member_refs.insert(var);
+    }
+    return;
+  }
+
+  // Member/array store: weak update of the base identifier.
+  const std::size_t base = chain_base(toks, eq, b);
+  const std::size_t base_at = base != std::string::npos ? base : first_ident;
+  const std::string& base_name = toks[base_at].text;
+  if (rhs.taint.any()) env.vars[base_name].join(rhs.taint);
+  if (aliases_member(env, base_name)) {
+    record_event(ctx, false, base_name, toks[base_at].line);
+  }
+}
+
+inline void walk_plain(FnCtx& ctx, Env& env, const Stmt& s) {
+  const auto& toks = *ctx.toks;
+  // PDS_ENSURE(...) validates its arguments (and aborts on failure — it is
+  // not a throw point).
+  for (std::size_t i = s.head_begin; i < s.head_end; ++i) {
+    if (toks[i].kind == TokKind::kIdent && is_ensure_macro(toks[i].text) &&
+        i + 1 < s.head_end && is_punct(toks[i + 1], "(")) {
+      const std::size_t close = match_balanced(toks, i + 1, s.head_end);
+      sanitize_range(ctx, env, i + 2, close);
+    }
+  }
+  scan_throw_points(ctx, s.head_begin, s.head_end);
+  scan_sinks(ctx, env, s.head_begin, s.head_end);
+  scan_mutations(ctx, env, s.head_begin, s.head_end);
+  handle_assignment(ctx, env, s.head_begin, s.head_end);
+}
+
+inline void walk_stmt(FnCtx& ctx, Env& env, const Stmt& s) {
+  const auto& toks = *ctx.toks;
+  switch (s.kind) {
+    case Stmt::Kind::kPlain:
+      walk_plain(ctx, env, s);
+      break;
+    case Stmt::Kind::kBlock:
+      walk_stmts(ctx, env, s.body);
+      break;
+    case Stmt::Kind::kIf: {
+      scan_throw_points(ctx, s.head_begin, s.head_end);
+      scan_sinks(ctx, env, s.head_begin, s.head_end);
+      // Comparing a tainted variable in an if-condition sanitizes it — the
+      // idiom `if (n > cap) throw ...;` as well as `if (n <= cap) use(n);`.
+      if (range_has_comparison(toks, s.head_begin, s.head_end)) {
+        sanitize_range(ctx, env, s.head_begin, s.head_end);
+      }
+      Env then_env = env;
+      walk_stmts(ctx, then_env, s.body);
+      Env else_env = env;
+      walk_stmts(ctx, else_env, s.else_body);
+      env = then_env;
+      env.join(else_env);
+      break;
+    }
+    case Stmt::Kind::kLoop: {
+      scan_throw_points(ctx, s.head_begin, s.head_end);
+      scan_sinks(ctx, env, s.head_begin, s.head_end);
+      // A loop bound is a sink, not a sanitizer: iteration count driven by
+      // an unchecked wire value is the allocation/CPU bomb itself.
+      const EvalResult cond =
+          eval_expr(ctx, env, s.head_begin, s.head_end);
+      if (cond.taint.src) {
+        const int line = s.head_begin < toks.size()
+                             ? toks[s.head_begin > 0 ? s.head_begin - 1 : 0]
+                                   .line
+                             : ctx.fn->line;
+        add_flow_finding(
+            ctx, "wire-taint", line,
+            "wire-tainted value '" + cond.who + "' bounds a loop in '" +
+                ctx.fn->display +
+                "' without validation — an attacker-controlled count drives "
+                "iteration and allocation",
+            "taint:" + ctx.fn->name + ":loop-bound:" + cond.who);
+        // Avoid cascading findings from the same unchecked bound.
+        sanitize_range(ctx, env, s.head_begin, s.head_end);
+      }
+      ctx.self.sink_params |= cond.taint.params;
+      const int loop_id = ctx.next_loop_id++;
+      ctx.loop_stack.push_back(loop_id);
+      Env body_env = env;
+      walk_stmts(ctx, body_env, s.body);
+      ctx.loop_stack.pop_back();
+      env.join(body_env);
+      break;
+    }
+    case Stmt::Kind::kSwitch: {
+      scan_throw_points(ctx, s.head_begin, s.head_end);
+      scan_sinks(ctx, env, s.head_begin, s.head_end);
+      walk_stmts(ctx, env, s.body);
+      break;
+    }
+    case Stmt::Kind::kTry: {
+      ++ctx.try_depth;  // caught exceptions are not atomicity hazards
+      walk_stmts(ctx, env, s.body);
+      --ctx.try_depth;
+      walk_stmts(ctx, env, s.else_body);
+      break;
+    }
+    case Stmt::Kind::kReturn: {
+      scan_throw_points(ctx, s.head_begin, s.head_end);
+      scan_sinks(ctx, env, s.head_begin, s.head_end);
+      const EvalResult r = eval_expr(ctx, env, s.head_begin, s.head_end);
+      ctx.self.returns.join(r.taint);
+      break;
+    }
+    case Stmt::Kind::kThrow: {
+      bool decode_error = false;
+      for (std::size_t i = s.head_begin; i < s.head_end; ++i) {
+        if (is_ident(toks[i], "DecodeError")) decode_error = true;
+      }
+      if (decode_error && ctx.try_depth == 0) {
+        ctx.self.may_throw = true;
+        record_event(ctx, true, std::string(),
+                     s.head_begin < toks.size() ? toks[s.head_begin].line
+                                                : ctx.fn->line);
+      }
+      break;
+    }
+    case Stmt::Kind::kJump:
+      break;
+  }
+}
+
+inline void walk_stmts(FnCtx& ctx, Env& env, const std::vector<Stmt>& stmts) {
+  for (const Stmt& s : stmts) walk_stmt(ctx, env, s);
+}
+
+// ---------------------------------------------------------------------------
+// Per-function analysis: one walk computes the summary; on the emitting
+// pass it also produces wire-taint findings (during the walk) and
+// decode-atomicity findings (from the event stream afterwards).
+
+inline Summary analyze_function(const std::vector<Token>& toks,
+                                const Function& fn, SummaryMap& summaries,
+                                const std::string& file,
+                                const Suppressions* sup,
+                                std::vector<Finding>* out) {
+  FnCtx ctx;
+  ctx.toks = &toks;
+  ctx.fn = &fn;
+  ctx.summaries = &summaries;
+  ctx.file = &file;
+  ctx.sup = sup;
+  ctx.out = out;
+
+  Env env;
+  for (std::size_t i = 0; i < fn.params.size() && i < 64; ++i) {
+    if (fn.params[i].empty()) continue;
+    Taint t;
+    t.params = 1ULL << i;
+    env.vars[fn.params[i]] = t;
+  }
+  walk_stmts(ctx, env, fn.stmts);
+
+  // decode-atomicity: a member mutation is hazardous when a potential
+  // DecodeError throw point follows it in statement order, or shares an
+  // enclosing loop (the next iteration may throw after this one mutated).
+  // Constructors are exempt: a throwing constructor discards the object.
+  if (out != nullptr && !fn.is_ctor_or_dtor) {
+    std::set<std::string> flagged;
+    for (const Event& m : ctx.events) {
+      if (m.is_throw || flagged.count(m.name) != 0) continue;
+      bool hazard = false;
+      for (const Event& t : ctx.events) {
+        if (!t.is_throw) continue;
+        if (t.order > m.order) {
+          hazard = true;
+          break;
+        }
+        for (int loop : t.loops) {
+          if (std::find(m.loops.begin(), m.loops.end(), loop) !=
+              m.loops.end()) {
+            hazard = true;
+            break;
+          }
+        }
+        if (hazard) break;
+      }
+      if (hazard) {
+        flagged.insert(m.name);
+        FnCtx report = ctx;  // reuse the finding helper with ctx state
+        add_flow_finding(
+            report, "decode-atomicity", m.line,
+            "member '" + m.name + "' is mutated in '" + fn.display +
+                "' before a later potential DecodeError throw point — a "
+                "malformed input leaves partial state; stage into locals "
+                "and commit after the last throw (copy-then-swap)",
+            "atomicity:" + fn.name + ":" + m.name);
+      }
+    }
+  }
+  return ctx.self;
+}
+
+// ---------------------------------------------------------------------------
+// Layering scan over the include directives of one lexed file.
+
+inline void scan_layering(const std::vector<Token>& toks,
+                          const std::string& file, const Suppressions& sup,
+                          std::vector<Finding>& out) {
+  const int from_rank = file_layer_rank(file);
+  if (from_rank < 0) return;
+  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
+    if (!is_punct(toks[i], "#") || !is_ident(toks[i + 1], "include") ||
+        toks[i + 2].kind != TokKind::kString) {
+      continue;
+    }
+    const std::string& quoted = toks[i + 2].text;
+    if (quoted.size() < 2) continue;
+    const std::string inc = quoted.substr(1, quoted.size() - 2);
+    const int to_rank = layer_rank(first_path_component(inc));
+    if (to_rank < 0 || to_rank <= from_rank) continue;
+    const lint::RuleSpec* spec = lint::find_flow_rule("layering");
+    Finding f;
+    f.rule = "layering";
+    f.severity = spec->severity;
+    f.file = file;
+    f.line = toks[i].line;
+    f.message = "'" + file + "' (layer rank " + std::to_string(from_rank) +
+                ") includes '" + inc + "' (rank " + std::to_string(to_rank) +
+                "): lower layers must not depend on higher ones";
+    f.suppressed = lint::suppressed_at(sup, f.rule, f.line);
+    f.fingerprint = "includes:" + inc;
+    out.push_back(std::move(f));
+  }
+}
+
+inline bool in_flow_scope(const std::string& path) {
+  return path.rfind("src/", 0) == 0;
+}
+
 }  // namespace flow_detail
 
-}  // namespace pds::flow
+// ---------------------------------------------------------------------------
+// Entry point. Lexes and parses every file, builds interprocedural
+// summaries over the src/ scope to a fixpoint (three joins — enough for the
+// call-depths in this tree), then emits findings, applies the baseline and
+// summarizes. Deterministic: files are processed in the given order and
+// findings are fully sorted.
 
-#include "tools/flow_engine2.h"
+inline FlowResult analyze(const std::vector<SourceFile>& files,
+                          const FlowOptions& opts = {}) {
+  using namespace flow_detail;
+
+  struct FileState {
+    const SourceFile* src = nullptr;
+    LexedFile lexed;
+    Suppressions sup;
+    std::vector<Function> fns;
+  };
+  std::vector<FileState> states;
+  states.reserve(files.size());
+  for (const SourceFile& f : files) {
+    FileState st;
+    st.src = &f;
+    st.lexed = lint::lex(f.content);
+    st.sup = lint::collect_suppressions(st.lexed, f.path, "pdsflow");
+    if (in_flow_scope(f.path)) {
+      st.fns = collect_functions(st.lexed.tokens);
+    }
+    states.push_back(std::move(st));
+  }
+
+  // Summary fixpoint: joins are monotone, so a few rounds suffice for the
+  // transitive call chains in this tree.
+  SummaryMap summaries;
+  for (int round = 0; round < 3; ++round) {
+    for (const FileState& st : states) {
+      for (const Function& fn : st.fns) {
+        const Summary s = analyze_function(st.lexed.tokens, fn, summaries,
+                                           st.src->path, nullptr, nullptr);
+        Summary& merged = summaries[fn.name];
+        merged.returns.join(s.returns);
+        merged.sink_params |= s.sink_params;
+        merged.may_throw = merged.may_throw || s.may_throw;
+      }
+    }
+  }
+
+  // Emitting pass.
+  std::vector<Finding> findings;
+  for (const FileState& st : states) {
+    findings.insert(findings.end(), st.sup.bad.begin(), st.sup.bad.end());
+    scan_layering(st.lexed.tokens, st.src->path, st.sup, findings);
+    for (const Function& fn : st.fns) {
+      analyze_function(st.lexed.tokens, fn, summaries, st.src->path, &st.sup,
+                       &findings);
+    }
+  }
+
+  // Baseline: match on (rule, file, fingerprint); matched findings count as
+  // suppressed but stay in the report flagged `baselined`.
+  std::set<std::tuple<std::string, std::string, std::string>> baseline;
+  for (const BaselineEntry& b : opts.baseline) {
+    baseline.insert({b.rule, b.file, b.fingerprint});
+  }
+  for (Finding& f : findings) {
+    if (!f.suppressed && !f.fingerprint.empty() &&
+        baseline.count({f.rule, f.file, f.fingerprint}) != 0) {
+      f.suppressed = true;
+      f.baselined = true;
+    }
+  }
+
+  lint::sort_findings(findings);
+  FlowResult res;
+  res.summary = lint::summarize(findings, static_cast<int>(files.size()));
+  res.findings = std::move(findings);
+  return res;
+}
+
+// Machine-readable findings report (schema pds-flow-report/1), shaped like
+// pds-lint-report/1 plus per-finding fingerprints.
+inline std::string render_flow_json(const FlowResult& res) {
+  return lint::render_findings_json(lint::kFlowReportSchema, lint::kFlowRules,
+                                    res.findings, res.summary);
+}
+
+}  // namespace pds::flow

@@ -2,7 +2,7 @@
 //
 // pdslint (token-level invariant checks, tools/lint_rules.h) and pdsflow
 // (flow-sensitive wire-taint/atomicity/layering analysis,
-// tools/flow_analysis.h) share everything that is not a rule: the finding
+// tools/flow_engine.h) share everything that is not a rule: the finding
 // and summary types, the severity model, the audited suppression machinery,
 // the deterministic JSON report rendering, and the CLI file-gathering
 // helpers. Keeping these here means the two linters cannot diverge on
@@ -73,8 +73,8 @@ inline constexpr RuleSpec kRules[] = {
      "or hashing by pointer yields a different order every run"},
     {"ambient-parallelism", Severity::kError,
      "thread-count independence: same-seed runs are byte-identical on any "
-     "machine, so worker counts come from explicit config (PDS_BENCH_JOBS, "
-     "RadioConfig::shard_threads), never from probing the host"},
+     "machine, so worker counts come only from PDS_BENCH_JOBS, never from "
+     "probing the host"},
     {"uninit-field", Severity::kWarning,
      "wire correctness: codec/message scalar fields need default member "
      "initializers so partially-filled messages encode deterministically"},
@@ -96,7 +96,7 @@ inline constexpr RuleSpec kRules[] = {
 };
 
 // ---------------------------------------------------------------------------
-// pdsflow rule table (checks live in tools/flow_analysis.h).
+// pdsflow rule table (checks live in tools/flow_engine.h).
 
 inline constexpr RuleSpec kFlowRules[] = {
     {"wire-taint", Severity::kError,

@@ -1,7 +1,7 @@
 // pdsflow — flow-sensitive static analysis gate (DESIGN.md §17).
 //
 // Scans the tree (or explicit paths) with the wire-taint, decode-atomicity
-// and layering rule families from tools/flow_analysis.h, prints
+// and layering rule families from tools/flow_engine.h, prints
 // compiler-style diagnostics, and optionally writes a machine-readable JSON
 // report (schema pds-flow-report/1) for CI artifacts. Grandfathered
 // findings live in a checked-in baseline (tools/pdsflow_baseline.txt by
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "tools/flow_analysis.h"
+#include "tools/flow_engine.h"
 
 namespace fs = std::filesystem;
 using pds::lint::cli::display_path;

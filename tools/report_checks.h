@@ -488,7 +488,7 @@ inline void validate_stats_report(const JsonValue& root,
 }
 
 // Schema check for pds-flow-report/1 documents (pdsflow --json findings,
-// tools/flow_analysis.h). Valid iff `errors` stays empty: rule table,
+// tools/flow_engine.h). Valid iff `errors` stays empty: rule table,
 // per-finding fields (fingerprint required on unsuppressed findings so the
 // baseline workflow can always key them), and a summary whose counts match
 // the findings actually listed.
@@ -715,8 +715,8 @@ inline std::vector<GateFailure> run_gates(const ParsedReport& rep) {
   // Benches that capture a flight-recorder series publish its health in a
   // "stats" section (bench_common.h::StatsCapture). Wherever one exists:
   // the deterministic (sim-kind) projection must be byte-identical across
-  // re-runs with different thread counts wherever the bench performed that
-  // A/B (`identical` param), and derived channel utilization must be sane —
+  // same-seed re-runs wherever the bench performed that A/B (`identical`
+  // param), and derived channel utilization must be sane —
   // non-negative and below the bench's concurrency ceiling (`util_bounded`,
   // computed against the radio.max_cell_tx peak). Reports without the
   // section pass vacuously.
@@ -725,7 +725,7 @@ inline std::vector<GateFailure> run_gates(const ParsedReport& rep) {
     if (identical != nullptr &&
         (identical->type != JsonValue::Type::kBool || !identical->boolean)) {
       gate.fail("timeseries-deterministic",
-                "sim-kind series projection differs across thread counts (" +
+                "sim-kind series projection differs between same-seed runs (" +
                     p->key() + ")");
     }
     if (const ReportMetric* util = p->metric("channel_util_max")) {
@@ -1026,28 +1026,21 @@ inline std::vector<GateFailure> run_gates(const ParsedReport& rep) {
       }
     }
   } else if (e == "scale") {
-    // City-scale sweep (bench/tab_scale.cc). The determinism claims are
-    // absolute: the calendar queue and the sharded radio are pure
-    // optimisations, so the oracle and every shard row must report
-    // bit-identical outcomes.
-    const auto bit_identical = [&](const char* section,
-                                   const char* assertion) {
-      const auto pts = rep.section(section);
-      if (pts.empty()) {
-        gate.fail(assertion, std::string("no points in section ") + section);
-        return;
+    // City-scale sweep (bench/tab_scale.cc). The determinism claim is
+    // absolute: the calendar queue is a pure optimisation, so the oracle
+    // must report bit-identical outcomes.
+    const auto oracle = rep.section("oracle");
+    if (oracle.empty()) {
+      gate.fail("calendar-matches-heap-oracle", "no points in section oracle");
+    }
+    for (const ReportPoint* p : oracle) {
+      const JsonValue* identical = p->param("identical");
+      if (identical == nullptr || identical->type != JsonValue::Type::kBool ||
+          !identical->boolean) {
+        gate.fail("calendar-matches-heap-oracle",
+                  "identical not true for " + p->key());
       }
-      for (const ReportPoint* p : pts) {
-        const JsonValue* identical = p->param("identical");
-        if (identical == nullptr ||
-            identical->type != JsonValue::Type::kBool ||
-            !identical->boolean) {
-          gate.fail(assertion, "identical not true for " + p->key());
-        }
-      }
-    };
-    bit_identical("oracle", "calendar-matches-heap-oracle");
-    bit_identical("shards", "outcome-independent-of-shard-threads");
+    }
     // Perf floors are loose (an order below a Release build on CI
     // hardware) — they catch collapses, not noise; CI layers stricter
     // env-driven floors on the bench binary itself.
@@ -1074,8 +1067,8 @@ inline std::vector<GateFailure> run_gates(const ParsedReport& rep) {
     for (const ReportPoint* p : stats) {
       if (p->param("identical") == nullptr) {
         gate.fail("timeseries-deterministic",
-                  "scale stats section missing the shard-thread determinism "
-                  "A/B (" + p->key() + ")");
+                  "scale stats section missing the same-seed re-run "
+                  "determinism A/B (" + p->key() + ")");
       }
       if (p->mean("peak_rss_mb", -1.0) < 0.0) {
         gate.fail("rss-peak-50k-budget",

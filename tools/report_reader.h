@@ -1,7 +1,7 @@
 // Minimal recursive-descent JSON reader for the documents obs::Report emits
-// (BENCH_<experiment>.json, schema pds-bench-report/1). Unlike
-// trace_reader.h (flat NDJSON lines), report JSON nests objects and arrays,
-// so this parses a full value tree. Object member order is preserved —
+// (BENCH_<experiment>.json, schema pds-bench-report/1), and per line for
+// tracer NDJSON (trace_reader.h). Report JSON nests objects and arrays, so
+// this parses a full value tree. Object member order is preserved —
 // pdsreport re-renders tables in emission order. Intentionally not a
 // general-purpose JSON library: no surrogate pairs, UTF-8 passed through.
 #pragma once

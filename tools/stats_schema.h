@@ -52,9 +52,8 @@ inline constexpr std::array<SeriesSchema, 24> kSeriesCatalog = {{
 
 // Allowed PDS_PROF_SCOPE subsystem names (hierarchy is runtime nesting; the
 // catalog registers names, not paths).
-inline constexpr std::array<const char*, 7> kProfileScopeCatalog = {
-    "sim",  "radio", "scheduler", "pdd", "pdr", "transport",
-    "classify-shards",
+inline constexpr std::array<const char*, 6> kProfileScopeCatalog = {
+    "sim", "radio", "scheduler", "pdd", "pdr", "transport",
 };
 
 }  // namespace pds::tools

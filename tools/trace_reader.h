@@ -1,7 +1,7 @@
-// Minimal NDJSON trace reader for the format obs::Tracer emits (one flat
-// JSON object per line, fixed field order, args values limited to numbers
-// and strings). Used by `pdscli trace` and tools/trace_check; intentionally
-// not a general JSON parser.
+// NDJSON trace reader for the format obs::Tracer emits: one flat JSON object
+// per line, args values limited to numbers and strings. Each line goes
+// through report_reader.h's parse_json. Used by `pdscli trace` and
+// tools/trace_check.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "tools/report_reader.h"
 
 namespace pds::tools {
 
@@ -35,118 +37,32 @@ struct ParsedEvent {
   }
 };
 
-namespace detail {
-
-inline void skip_ws(const std::string& s, std::size_t& i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-}
-
-inline bool expect(const std::string& s, std::size_t& i, char c) {
-  skip_ws(s, i);
-  if (i >= s.size() || s[i] != c) return false;
-  ++i;
-  return true;
-}
-
-// Parses a JSON string at s[i] (opening quote included), appending the
-// unescaped content to `out`.
-inline bool parse_string(const std::string& s, std::size_t& i,
-                         std::string& out) {
-  if (!expect(s, i, '"')) return false;
-  while (i < s.size() && s[i] != '"') {
-    char c = s[i++];
-    if (c == '\\') {
-      if (i >= s.size()) return false;
-      const char esc = s[i++];
-      switch (esc) {
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        case 'u': {
-          if (i + 4 > s.size()) return false;
-          c = static_cast<char>(
-              std::strtol(s.substr(i, 4).c_str(), nullptr, 16));
-          i += 4;
-          break;
-        }
-        default: c = esc;
-      }
-    }
-    out.push_back(c);
-  }
-  return expect(s, i, '"');
-}
-
-// Parses a bare scalar (number / true / false / null) as raw text.
-inline bool parse_scalar(const std::string& s, std::size_t& i,
-                         std::string& out) {
-  skip_ws(s, i);
-  const std::size_t start = i;
-  while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ' ') ++i;
-  out = s.substr(start, i - start);
-  return !out.empty();
-}
-
-inline bool parse_value(const std::string& s, std::size_t& i,
-                        std::string& out) {
-  skip_ws(s, i);
-  if (i < s.size() && s[i] == '"') return parse_string(s, i, out);
-  return parse_scalar(s, i, out);
-}
-
-}  // namespace detail
-
-// Parses one tracer NDJSON line; nullopt on malformed input.
+// Parses one tracer NDJSON line; nullopt for a non-object line, a missing
+// `sub`/`ev`, or a `ph` that is not one character.
 inline std::optional<ParsedEvent> parse_trace_line(const std::string& line) {
-  using detail::expect;
-  using detail::parse_string;
-  using detail::parse_value;
+  const std::optional<JsonValue> doc = parse_json(line);
+  if (!doc.has_value() || !doc->is_object()) return std::nullopt;
   ParsedEvent event;
-  std::size_t i = 0;
-  if (!expect(line, i, '{')) return std::nullopt;
-  bool first = true;
-  while (true) {
-    detail::skip_ws(line, i);
-    if (i < line.size() && line[i] == '}') break;
-    if (!first && !expect(line, i, ',')) return std::nullopt;
-    first = false;
-    std::string key;
-    if (!parse_string(line, i, key) || !expect(line, i, ':')) {
-      return std::nullopt;
-    }
-    if (key == "args") {
-      if (!expect(line, i, '{')) return std::nullopt;
-      bool first_arg = true;
-      while (true) {
-        detail::skip_ws(line, i);
-        if (i < line.size() && line[i] == '}') {
-          ++i;
-          break;
-        }
-        if (!first_arg && !expect(line, i, ',')) return std::nullopt;
-        first_arg = false;
-        std::string arg_key, arg_value;
-        if (!parse_string(line, i, arg_key) || !expect(line, i, ':') ||
-            !parse_value(line, i, arg_value)) {
-          return std::nullopt;
-        }
-        event.args.emplace_back(std::move(arg_key), std::move(arg_value));
+  for (const auto& [key, value] : doc->members) {
+    if (key == "t") {
+      event.t_us = std::atoll(value.display().c_str());
+    } else if (key == "node") {
+      event.node =
+          static_cast<std::uint32_t>(std::atoll(value.display().c_str()));
+    } else if (key == "ph") {
+      const std::string ph = value.display();
+      if (ph.size() != 1) return std::nullopt;
+      event.ph = ph[0];
+    } else if (key == "sub") {
+      event.sub = value.display();
+    } else if (key == "ev") {
+      event.ev = value.display();
+    } else if (key == "args") {
+      if (!value.is_object()) return std::nullopt;
+      for (const auto& [arg_key, arg_value] : value.members) {
+        event.args.emplace_back(arg_key, arg_value.display());
       }
-    } else {
-      std::string value;
-      if (!parse_value(line, i, value)) return std::nullopt;
-      if (key == "t") {
-        event.t_us = std::atoll(value.c_str());
-      } else if (key == "node") {
-        event.node = static_cast<std::uint32_t>(std::atoll(value.c_str()));
-      } else if (key == "ph") {
-        if (value.size() != 1) return std::nullopt;
-        event.ph = value[0];
-      } else if (key == "sub") {
-        event.sub = std::move(value);
-      } else if (key == "ev") {
-        event.ev = std::move(value);
-      }  // Unknown top-level keys are ignored (forward compatibility).
-    }
+    }  // Unknown top-level keys are ignored (forward compatibility).
   }
   if (event.sub.empty() || event.ev.empty()) return std::nullopt;
   return event;
