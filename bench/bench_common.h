@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -194,6 +195,40 @@ class StatsCapture {
   obs::Profiler profiler_;
 };
 
+// The columns add_stats_point reads, with the kind each must carry. The
+// collector in Scenario::attach_sampler is the one catalogue of recorded
+// names; this is the consumer's half of that contract, checked on every
+// capture so a renamed or dropped column fails the bench instead of
+// reading as 0 and passing its resource gate unchecked.
+struct StatsRead {
+  const char* column;
+  const char* kind;  // "sim" | "wall"
+};
+inline constexpr std::array<StatsRead, 5> kStatsPointReads = {{
+    {"rss.peak_mb", "wall"},
+    {"sched.queue_len", "sim"},
+    {"transport.inflight", "sim"},
+    {"store.chunk_bytes", "sim"},
+    {"radio.air_us", "sim"},
+}};
+
+// Empty when `s` carries every kStatsPointReads column with its kind;
+// otherwise a message naming the first column that is missing or mis-kinded.
+inline std::string stats_point_gap(const tools::ParsedSeries& s) {
+  for (const StatsRead& r : kStatsPointReads) {
+    const int col = tools::series_column(s, r.column);
+    if (col < 0) {
+      return std::string("stats capture lacks column '") + r.column + "'";
+    }
+    const std::string& kind = s.columns[static_cast<std::size_t>(col)].kind;
+    if (kind != r.kind) {
+      return std::string("stats column '") + r.column + "' has kind " +
+             kind + ", expected " + r.kind;
+    }
+  }
+  return {};
+}
+
 // Appends the flight-recorder health + resource-peak statistics for one
 // captured run to the report's current section (callers begin_section
 // "stats" first and may prepend identifying params such as the determinism
@@ -201,16 +236,18 @@ class StatsCapture {
 // ceiling (node count for grid scenarios): derived channel utilization is
 // the average number of concurrent transmissions per interval, which can
 // never exceed it — the `channel-utilization-bounded` gate checks the
-// verdict recorded here.
+// verdict recorded here. A capture that fails stats_point_gap() exits the
+// bench with status 1.
 inline obs::Report::Point& add_stats_point(obs::Report::Point& point,
                                            const tools::ParsedSeries& s,
                                            double util_ceiling) {
+  if (const std::string gap = stats_point_gap(s); !gap.empty()) {
+    std::fprintf(stderr, "%s\n", gap.c_str());
+    std::exit(1);
+  }
   const std::vector<tools::SeriesSummary> sums = tools::summarize_series(s);
-  const auto peak = [&sums](const char* name) -> double {
-    for (const tools::SeriesSummary& sum : sums) {
-      if (sum.name == name) return sum.peak;
-    }
-    return 0.0;
+  const auto peak = [&](const char* name) {
+    return sums[static_cast<std::size_t>(tools::series_column(s, name))].peak;
   };
   const std::vector<double> util = tools::channel_utilization(s);
   double util_max = 0.0;

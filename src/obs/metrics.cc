@@ -1,55 +1,8 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-
 #include "common/assert.h"
 
 namespace pds::obs {
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  PDS_ENSURE(std::is_sorted(bounds_.begin(), bounds_.end()));
-  buckets_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::observe(double v) {
-  std::size_t i = 0;
-  while (i < bounds_.size() && v > bounds_[i]) ++i;
-  ++buckets_[i];
-  ++count_;
-  sum_ += v;
-}
-
-Counter* MetricsRegistry::counter(const std::string& name) {
-  if (auto it = counter_by_name_.find(name); it != counter_by_name_.end()) {
-    return it->second;
-  }
-  counters_.emplace_back();
-  Counter* handle = &counters_.back();
-  counter_by_name_.emplace(name, handle);
-  return handle;
-}
-
-Gauge* MetricsRegistry::gauge(const std::string& name) {
-  if (auto it = gauge_by_name_.find(name); it != gauge_by_name_.end()) {
-    return it->second;
-  }
-  gauges_.emplace_back();
-  Gauge* handle = &gauges_.back();
-  gauge_by_name_.emplace(name, handle);
-  return handle;
-}
-
-Histogram* MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-  if (auto it = histogram_by_name_.find(name);
-      it != histogram_by_name_.end()) {
-    return it->second;
-  }
-  histograms_.emplace_back(std::move(bounds));
-  Histogram* handle = &histograms_.back();
-  histogram_by_name_.emplace(name, handle);
-  return handle;
-}
 
 void MetricsRegistry::expose_counter(const std::string& name,
                                      const std::uint64_t* source) {
@@ -59,67 +12,8 @@ void MetricsRegistry::expose_counter(const std::string& name,
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
-  for (const auto& [name, c] : counter_by_name_) {
-    out.counters.emplace(name, c->value());
-  }
   for (const auto& [name, source] : exposed_) {
     out.counters.emplace(name, *source);
-  }
-  for (const auto& [name, g] : gauge_by_name_) {
-    out.gauges.emplace(name, g->value());
-  }
-  for (const auto& [name, h] : histogram_by_name_) {
-    out.histograms.emplace(name,
-                           HistogramSnapshot{.bounds = h->bounds(),
-                                             .buckets = h->buckets(),
-                                             .count = h->count(),
-                                             .sum = h->sum()});
-  }
-  return out;
-}
-
-std::size_t MetricsRegistry::size() const {
-  return counter_by_name_.size() + exposed_.size() + gauge_by_name_.size() +
-         histogram_by_name_.size();
-}
-
-MetricsSnapshot diff(const MetricsSnapshot& later,
-                     const MetricsSnapshot& earlier) {
-  MetricsSnapshot out = later;
-  for (auto& [name, value] : out.counters) {
-    if (auto it = earlier.counters.find(name); it != earlier.counters.end()) {
-      value -= std::min(value, it->second);
-    }
-  }
-  for (auto& [name, h] : out.histograms) {
-    auto it = earlier.histograms.find(name);
-    if (it == earlier.histograms.end() || it->second.bounds != h.bounds) {
-      continue;
-    }
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      h.buckets[i] -= std::min(h.buckets[i], it->second.buckets[i]);
-    }
-    h.count -= std::min(h.count, it->second.count);
-    h.sum -= it->second.sum;
-  }
-  return out;
-}
-
-MetricsSnapshot merge(const MetricsSnapshot& a, const MetricsSnapshot& b) {
-  MetricsSnapshot out = a;
-  for (const auto& [name, value] : b.counters) out.counters[name] += value;
-  for (const auto& [name, value] : b.gauges) out.gauges[name] += value;
-  for (const auto& [name, h] : b.histograms) {
-    auto [it, inserted] = out.histograms.emplace(name, h);
-    if (inserted) continue;
-    HistogramSnapshot& dst = it->second;
-    if (dst.bounds == h.bounds) {
-      for (std::size_t i = 0; i < dst.buckets.size(); ++i) {
-        dst.buckets[i] += h.buckets[i];
-      }
-    }
-    dst.count += h.count;
-    dst.sum += h.sum;
   }
   return out;
 }

@@ -1,100 +1,27 @@
-// Unified metrics registry (DESIGN.md §9).
+// Metrics registry (DESIGN.md §9): a read-through view over plain stats
+// fields.
 //
-// Named monotonic counters, gauges and histograms, registered once per
-// node/subsystem and incremented on the hot path through stable handles —
-// after registration an increment is a plain pointer bump, no hashing, no
-// lookup. Existing plain-struct statistics (sim::MediumStats,
-// net::Transport::Stats) are surfaced through `expose_counter`, which makes
-// the registry a *view* over the struct's fields: the structs keep their
-// layout, `operator==` and bit-identical-stats guarantees, and the registry
-// reads through the pointer at snapshot time.
-//
-// Snapshots are ordinary value types supporting diff (per-phase attribution:
-// snapshot before and after a phase, subtract) and merge (aggregate per-node
-// registries or per-seed runs into fleet totals).
+// Subsystems keep their statistics as ordinary struct fields
+// (sim::MediumStats, net::Transport::Stats, sim::FaultInjector's counters)
+// and publish them here by name with `expose_counter`. The registry stores
+// only the pointer and reads through it at snapshot time, so hot-path
+// increments stay a plain `++field`, and the structs keep their layout,
+// `operator==` and bit-identical-stats guarantees.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace pds::obs {
 
-// Monotonic event count. Handles returned by MetricsRegistry stay valid for
-// the registry's lifetime (deque storage — no reallocation moves).
-class Counter {
- public:
-  void inc(std::uint64_t delta = 1) { value_ += delta; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-// Last-written instantaneous value (queue depths, table sizes).
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double delta) { value_ += delta; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-// Fixed-bound histogram: `bounds` are upper bucket edges (ascending); one
-// implicit overflow bucket collects everything above the last bound.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const {
-    return buckets_;
-  }
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> buckets_;  // bounds_.size() + 1 (overflow)
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-};
-
-struct HistogramSnapshot {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-
-  friend bool operator==(const HistogramSnapshot&,
-                         const HistogramSnapshot&) = default;
-};
-
-// A point-in-time copy of every registered metric, keyed by name.
+// A point-in-time copy of every exposed counter, keyed by name.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
 
   friend bool operator==(const MetricsSnapshot&,
                          const MetricsSnapshot&) = default;
 };
-
-// later - earlier, per metric: counters/histogram buckets subtract (missing
-// keys in `earlier` count as zero), gauges keep the later value.
-[[nodiscard]] MetricsSnapshot diff(const MetricsSnapshot& later,
-                                   const MetricsSnapshot& earlier);
-
-// Element-wise sum: counters and histogram buckets add; gauges add (fleet
-// totals of additive gauges like queue depths). Histograms with mismatched
-// bounds keep `a`'s and add only counts/sums.
-[[nodiscard]] MetricsSnapshot merge(const MetricsSnapshot& a,
-                                    const MetricsSnapshot& b);
 
 class MetricsRegistry {
  public:
@@ -102,26 +29,13 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Registers (or re-finds) a metric by name. Re-registration under the same
-  // name returns the existing handle, so per-node adapters can be idempotent.
-  Counter* counter(const std::string& name);
-  Gauge* gauge(const std::string& name);
-  Histogram* histogram(const std::string& name, std::vector<double> bounds);
-
-  // Adapter for existing stats structs: the registry reads `*source` at
-  // snapshot time. The caller guarantees `source` outlives the registry use.
+  // Publishes `*source` under `name`; re-exposing a name rebinds it. The
+  // caller guarantees `source` outlives the registry's use.
   void expose_counter(const std::string& name, const std::uint64_t* source);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  [[nodiscard]] std::size_t size() const;
 
  private:
-  std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
-  std::map<std::string, Counter*> counter_by_name_;
-  std::map<std::string, Gauge*> gauge_by_name_;
-  std::map<std::string, Histogram*> histogram_by_name_;
   std::map<std::string, const std::uint64_t*> exposed_;
 };
 

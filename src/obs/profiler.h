@@ -3,7 +3,7 @@
 // A Profiler accumulates wall-clock time per named scope, nested by runtime
 // scope nesting: `PDS_PROF_SCOPE(prof, "radio")` inside an open "sim" scope
 // accumulates under the path "sim/radio". Scope names are string literals
-// registered in tools/stats_schema.h (pdslint rule `stats-schema`).
+// listed in kProfileScopes below (pdslint rule `stats-schema`).
 //
 // Threading: accumulation is atomic and the current-scope cursor is
 // thread-local, so bench::run_indexed seed workers can all hold scopes
@@ -19,6 +19,7 @@
 // profiler costs one pointer compare per scope.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -27,6 +28,13 @@
 #include <vector>
 
 namespace pds::obs {
+
+// Every PDS_PROF_SCOPE name. The hierarchy is runtime nesting, so this lists
+// names, not paths; pdslint's `stats-schema` rule rejects a literal scope
+// name missing here.
+inline constexpr std::array<const char*, 6> kProfileScopes = {
+    "sim", "radio", "scheduler", "pdd", "pdr", "transport",
+};
 
 class Profiler {
  public:
@@ -107,7 +115,7 @@ class Profiler {
 #define PDS_PROF_CONCAT_INNER(a, b) a##b
 #define PDS_PROF_CONCAT(a, b) PDS_PROF_CONCAT_INNER(a, b)
 // Opens a profiler scope for the rest of the enclosing block. `name` must be
-// a literal registered in tools/stats_schema.h (pdslint `stats-schema`).
+// a literal listed in pds::obs::kProfileScopes (pdslint `stats-schema`).
 #define PDS_PROF_SCOPE(profiler, name)                  \
   const pds::obs::Profiler::Scope PDS_PROF_CONCAT(      \
       pds_prof_scope_, __LINE__)((profiler), (name))

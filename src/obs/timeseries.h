@@ -21,9 +21,10 @@
 //
 // Serialized form is a compact columnar NDJSON (`pds-timeseries/1`): one
 // header object naming the columns, then one row object per interval with
-// the values in column order. `pdscli stats` renders/summarizes these files
-// and `tools/stats_schema.h` is the catalog every literal column name must
-// be registered in (pdslint rule `stats-schema`).
+// the values in column order. `pdscli stats` renders/summarizes these files.
+// The column list in `Scenario::attach_sampler` is the one catalogue of
+// recorded names; every bench that reads a column by name fails when a
+// capture lacks it (bench_common.h `add_stats_point`).
 #pragma once
 
 #include <cstddef>
@@ -65,10 +66,11 @@ class TimeSeries {
   [[nodiscard]] bool enabled() const { return enabled_; }
   void set_enabled(bool enabled) { enabled_ = enabled; }
 
-  // Registers (or finds) a column. `name` must be a string literal or other
-  // storage outliving the series; literal names are linted against
-  // tools/stats_schema.h via the PDS_TS_COLUMN macro below. Registration
-  // order is the column order in every row and in the NDJSON header.
+  // Registers (or finds, by name) a column. `name` must be a string literal
+  // or other storage outliving the series. Registration order is the column
+  // order in every row and in the NDJSON header; re-registering a name
+  // returns its existing id, so a warm sampler can re-attach to a fresh
+  // scenario.
   int column(const char* name, Kind kind = Kind::kSim);
 
   // Stages a value for the row being collected. Unset columns default to 0.
@@ -137,8 +139,3 @@ class TimeSeries {
 };
 
 }  // namespace pds::obs
-
-// Column registration with a lint-checked literal name: pdslint's
-// `stats-schema` rule requires the string literal to be registered in
-// tools/stats_schema.h (mirroring PDS_TRACE_* / trace_schema.h).
-#define PDS_TS_COLUMN(ts, name, ...) (ts).column((name), ##__VA_ARGS__)

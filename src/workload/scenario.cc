@@ -47,8 +47,10 @@ void Scenario::attach_sampler(obs::TimeSeries* sampler) {
   sim_.set_sampler(sampler);
   if (sampler == nullptr) return;
 
-  // Column ids for the collector below; registration is idempotent, so
-  // re-attaching the same series to a fresh scenario reuses the layout.
+  // The flight recorder's column catalogue: every recorded name is defined
+  // here and only here. Column ids feed the collector below; registration
+  // is idempotent by name, so re-attaching the same series to a fresh
+  // scenario reuses the layout.
   struct Cols {
     int queue_len, ring_live, overflow_depth, slot_pool, events;
     int active_tx, tx_cells, max_cell_tx, air_us, radio_bytes, os_backlog;
@@ -58,30 +60,30 @@ void Scenario::attach_sampler(obs::TimeSeries* sampler) {
   };
   obs::TimeSeries& ts = *sampler;
   const Cols c{
-      PDS_TS_COLUMN(ts, "sched.queue_len"),
-      PDS_TS_COLUMN(ts, "sched.ring_live"),
-      PDS_TS_COLUMN(ts, "sched.overflow_depth"),
-      PDS_TS_COLUMN(ts, "sched.slot_pool"),
-      PDS_TS_COLUMN(ts, "sim.events"),
-      PDS_TS_COLUMN(ts, "radio.active_tx"),
-      PDS_TS_COLUMN(ts, "radio.tx_cells"),
-      PDS_TS_COLUMN(ts, "radio.max_cell_tx"),
-      PDS_TS_COLUMN(ts, "radio.air_us"),
-      PDS_TS_COLUMN(ts, "radio.bytes"),
-      PDS_TS_COLUMN(ts, "radio.os_backlog_bytes"),
-      PDS_TS_COLUMN(ts, "transport.inflight"),
-      PDS_TS_COLUMN(ts, "transport.send_queue"),
-      PDS_TS_COLUMN(ts, "transport.pending"),
-      PDS_TS_COLUMN(ts, "transport.reassembly"),
-      PDS_TS_COLUMN(ts, "transport.bucket_backlog_us_max"),
-      PDS_TS_COLUMN(ts, "store.metadata"),
-      PDS_TS_COLUMN(ts, "store.items"),
-      PDS_TS_COLUMN(ts, "store.chunk_bytes"),
-      PDS_TS_COLUMN(ts, "lqt.entries"),
-      PDS_TS_COLUMN(ts, "lqt.bloom_fill_max"),
-      PDS_TS_COLUMN(ts, "arena.rx_pool_parked"),
-      PDS_TS_COLUMN(ts, "arena.block_pool_bytes", obs::TimeSeries::Kind::kWall),
-      PDS_TS_COLUMN(ts, "rss.peak_mb", obs::TimeSeries::Kind::kWall),
+      ts.column("sched.queue_len"),
+      ts.column("sched.ring_live"),
+      ts.column("sched.overflow_depth"),
+      ts.column("sched.slot_pool"),
+      ts.column("sim.events"),
+      ts.column("radio.active_tx"),
+      ts.column("radio.tx_cells"),
+      ts.column("radio.max_cell_tx"),
+      ts.column("radio.air_us"),
+      ts.column("radio.bytes"),
+      ts.column("radio.os_backlog_bytes"),
+      ts.column("transport.inflight"),
+      ts.column("transport.send_queue"),
+      ts.column("transport.pending"),
+      ts.column("transport.reassembly"),
+      ts.column("transport.bucket_backlog_us_max"),
+      ts.column("store.metadata"),
+      ts.column("store.items"),
+      ts.column("store.chunk_bytes"),
+      ts.column("lqt.entries"),
+      ts.column("lqt.bloom_fill_max"),
+      ts.column("arena.rx_pool_parked"),
+      ts.column("arena.block_pool_bytes", obs::TimeSeries::Kind::kWall),
+      ts.column("rss.peak_mb", obs::TimeSeries::Kind::kWall),
   };
 
   sampler->set_collector([this, c](SimTime now, obs::TimeSeries& out) {

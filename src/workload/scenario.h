@@ -58,8 +58,8 @@ class Scenario {
   // outlive the scenario's simulation runs.
   void set_tracer(obs::Tracer* tracer) { sim_.set_tracer(tracer); }
 
-  // Attaches the flight-recorder sampler (null detaches): registers the full
-  // column catalog (tools/stats_schema.h) and installs a collector that
+  // Attaches the flight-recorder sampler (null detaches): registers the
+  // column catalogue (defined only here) and installs a collector that
   // snapshots scheduler occupancy, radio channel state, transport backlogs,
   // per-node store/LQT state and pool/RSS probes at every interval boundary.
   // Reads state only — sampled and unsampled runs stay byte-identical. The

@@ -273,33 +273,22 @@ TEST(PdslintRules, TraceSchemaAllowlistExemptsTracerTests) {
 
 TEST(PdslintRules, DetectsUnregisteredStatsColumnAndScope) {
   const auto fs = run(
-      "void f(obs::TimeSeries& ts, obs::Profiler* prof) {\n"
-      "  PDS_TS_COLUMN(ts, \"sim.events\");\n"
-      "  PDS_TS_COLUMN(ts, \"rss.peak_mb\", TimeSeries::Kind::kWall);\n"
-      "  PDS_TS_COLUMN(ts, \"made.up_column\");\n"
+      "void f(obs::Profiler* prof) {\n"
       "  PDS_PROF_SCOPE(prof, \"radio\");\n"
+      "  PDS_PROF_SCOPE(prof, \"transport\");\n"
       "  PDS_PROF_SCOPE(prof, \"not-a-subsystem\");\n"
       "}\n");
-  // Only the column and the scope missing from tools/stats_schema.h fire.
-  EXPECT_EQ(count_rule(fs, "stats-schema"), 2);
+  // Only the scope missing from obs::kProfileScopes fires.
+  EXPECT_EQ(count_rule(fs, "stats-schema"), 1);
 }
 
 TEST(PdslintRules, DynamicStatsNamesAreSkipped) {
   // Syntactic check: computed names cannot be resolved and must not fire.
   const auto fs = run(
-      "void f(obs::TimeSeries& ts, obs::Profiler* prof, const char* n) {\n"
-      "  PDS_TS_COLUMN(ts, n);\n"
+      "void f(obs::Profiler* prof, const char* n) {\n"
       "  PDS_PROF_SCOPE(prof, kScopeName);\n"
+      "  PDS_PROF_SCOPE(prof, n);\n"
       "}\n");
-  EXPECT_EQ(count_rule(fs, "stats-schema"), 0);
-}
-
-TEST(PdslintRules, StatsSchemaAllowlistExemptsRecorderTests) {
-  const auto fs = run(
-      "void f(obs::TimeSeries& ts) {\n"
-      "  PDS_TS_COLUMN(ts, \"test.value\");\n"
-      "}\n",
-      "tests/timeseries_test.cc");
   EXPECT_EQ(count_rule(fs, "stats-schema"), 0);
 }
 

@@ -13,6 +13,7 @@
 #include "bench_common.h"
 #include "obs/report.h"
 #include "tools/flow_engine.h"
+#include "tools/lint_rules.h"
 #include "tools/report_checks.h"
 #include "tools/report_reader.h"
 #include "util/stats.h"
@@ -168,7 +169,7 @@ TEST(FlowReport, RealAnalyzerOutputValidates) {
   const auto root = tools::parse_json(json);
   ASSERT_TRUE(root.has_value());
   std::vector<std::string> errors;
-  tools::validate_flow_report(*root, errors);
+  tools::validate_findings_report(*root, errors);
   EXPECT_TRUE(errors.empty()) << errors.front();
 }
 
@@ -183,7 +184,7 @@ TEST(FlowReport, ValidatorRejectsDoctoredSummary) {
   const auto root = tools::parse_json(json);
   ASSERT_TRUE(root.has_value());
   std::vector<std::string> errors;
-  tools::validate_flow_report(*root, errors);
+  tools::validate_findings_report(*root, errors);
   EXPECT_FALSE(errors.empty());
 }
 
@@ -198,7 +199,42 @@ TEST(FlowReport, ValidatorRequiresFingerprints) {
   const auto root = tools::parse_json(json);
   ASSERT_TRUE(root.has_value());
   std::vector<std::string> errors;
-  tools::validate_flow_report(*root, errors);
+  tools::validate_findings_report(*root, errors);
+  EXPECT_FALSE(errors.empty());
+}
+
+// -- pds-lint-report/1 validation --------------------------------------------
+// pdslint renders through the same writer as pdsflow; its findings carry no
+// fingerprints, and the validator must not demand them.
+
+std::string rendered_lint_report() {
+  const std::vector<lint::Finding> fs = lint::lint_source(
+      "src/core/fixture.cc",
+      "int x = rand();\n"
+      "int y = rand();  // pdslint:allow(ambient-rng)\n");
+  return lint::render_json(fs, lint::summarize(fs, 1));
+}
+
+TEST(LintReport, RenderedPdslintReportValidates) {
+  const auto root = tools::parse_json(rendered_lint_report());
+  ASSERT_TRUE(root.has_value());
+  ASSERT_NE(root->find("schema"), nullptr);
+  EXPECT_EQ(root->find("schema")->text, lint::kLintReportSchema);
+  std::vector<std::string> errors;
+  tools::validate_findings_report(*root, errors);
+  EXPECT_TRUE(errors.empty()) << errors.front();
+}
+
+TEST(LintReport, ValidatorRejectsSummaryFindingsMismatch) {
+  std::string json = rendered_lint_report();
+  const std::string needle = "\"suppressed\":1";
+  const std::size_t at = json.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, needle.size(), "\"suppressed\":0");
+  const auto root = tools::parse_json(json);
+  ASSERT_TRUE(root.has_value());
+  std::vector<std::string> errors;
+  tools::validate_findings_report(*root, errors);
   EXPECT_FALSE(errors.empty());
 }
 

@@ -2,9 +2,9 @@
 // same seed, (a) attaching a sampler + profiler leaves every experiment
 // outcome bit-identical to the unsampled run, (b) the deterministic (sim-
 // kind) series projection is byte-identical across PDS_BENCH_JOBS worker
-// pools, and (c) the scenario
-// collector populates exactly the columns registered in
-// tools/stats_schema.h with sane (non-negative, cumulative-monotone) values.
+// pools, (c) the scenario collector carries every column a consumer reads
+// by name, with sane (non-negative, cumulative-monotone) values, and (d) a
+// capture missing such a column fails the bench instead of reading as 0.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,7 +17,6 @@
 #include "obs/timeseries.h"
 #include "parallel_runs.h"
 #include "tools/stats_analysis.h"
-#include "tools/stats_schema.h"
 #include "workload/experiment.h"
 
 namespace pds::wl {
@@ -107,23 +106,53 @@ TEST(TimeSeriesDeterminism, SeriesBytesIdenticalUnderParallelJobs) {
 
 // -- Collector contents ------------------------------------------------------
 
-TEST(TimeSeriesDeterminism, CollectorColumnsMatchSchemaCatalog) {
+// The collector is the one catalogue of recorded names; the bench stats
+// point (bench::add_stats_point) and channel_utilization read columns by
+// name, so the collector's header must carry each with the expected kind.
+TEST(TimeSeriesDeterminism, CollectorHeaderCarriesEveryColumnAConsumerReads) {
   obs::TimeSeries sampler(SimTime::millis(100));
   (void)run_pdd_grid(small_pdd(5, &sampler));
   std::string error;
   const auto parsed = tools::parse_timeseries(sampler.ndjson(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_EQ(parsed->columns.size(), tools::kSeriesCatalog.size());
-  for (const tools::SeriesColumn& col : parsed->columns) {
-    bool registered = false;
-    for (const tools::SeriesSchema& s : tools::kSeriesCatalog) {
-      if (col.name == s.name) {
-        EXPECT_EQ(col.kind, s.kind) << col.name;
-        registered = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(registered) << "unregistered column " << col.name;
+  for (const bench::StatsRead& r : bench::kStatsPointReads) {
+    const int col = tools::series_column(*parsed, r.column);
+    ASSERT_GE(col, 0) << r.column;
+    EXPECT_EQ(parsed->columns[static_cast<std::size_t>(col)].kind, r.kind)
+        << r.column;
+  }
+  EXPECT_FALSE(tools::channel_utilization(*parsed).empty());
+}
+
+// A capture without a column the stats point reads must fail the bench
+// rather than report that column's peak as 0.
+tools::ParsedSeries without_column(tools::ParsedSeries s, int col) {
+  const auto at = static_cast<std::ptrdiff_t>(col);
+  s.columns.erase(s.columns.begin() + at);
+  for (tools::SeriesRow& row : s.rows) row.v.erase(row.v.begin() + at);
+  return s;
+}
+
+TEST(TimeSeriesDeterminism, CaptureMissingAConsumerColumnIsRejected) {
+  obs::TimeSeries sampler(SimTime::millis(100));
+  (void)run_pdd_grid(small_pdd(5, &sampler));
+  std::string error;
+  const auto parsed = tools::parse_timeseries(sampler.ndjson(), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  for (const bench::StatsRead& r : bench::kStatsPointReads) {
+    const int col = tools::series_column(*parsed, r.column);
+    ASSERT_GE(col, 0) << r.column;
+    const tools::ParsedSeries stripped = without_column(*parsed, col);
+    EXPECT_NE(bench::stats_point_gap(stripped).find(r.column),
+              std::string::npos)
+        << r.column;
+    obs::Report::Options options;
+    options.experiment = "probe";
+    obs::Report report(std::move(options));
+    report.begin_section("stats");
+    EXPECT_EXIT(bench::add_stats_point(report.point(), stripped, 25.0),
+                ::testing::ExitedWithCode(1),
+                std::string("lacks column '") + r.column + "'");
   }
 }
 

@@ -86,10 +86,9 @@ inline constexpr RuleSpec kRules[] = {
      "(subsystem, event) registered in tools/trace_schema.h, so trace_check "
      "can validate any capture and analysis tools never meet unknown events"},
     {"stats-schema", Severity::kError,
-     "flight-recorder catalog completeness: every PDS_TS_COLUMN column and "
-     "PDS_PROF_SCOPE scope names an entry registered in "
-     "tools/stats_schema.h, so pdscli stats can render any capture and "
-     "resource gates never meet unknown series"},
+     "profile catalog completeness: every PDS_PROF_SCOPE names a scope "
+     "listed in obs::kProfileScopes, so the per-layer profile split and its "
+     "readers never meet an unknown layer"},
     {"bad-suppression", Severity::kError,
      "suppression hygiene: a misspelled pdslint:allow(...) must fail loudly "
      "rather than silently disabling a gate"},

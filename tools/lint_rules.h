@@ -41,9 +41,9 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/profiler.h"
 #include "tools/lint_common.h"
 #include "tools/lint_lexer.h"
-#include "tools/stats_schema.h"
 #include "tools/trace_schema.h"
 
 namespace pds::lint {
@@ -117,9 +117,6 @@ inline constexpr FileAllowEntry kFileAllowlist[] = {
     // The profiler's whole job is reading host time; its readings are
     // observability output and never feed simulation state (DESIGN.md §15).
     {"wall-clock", "src/obs/profiler.cc"},
-    // Unit tests drive TimeSeries/Profiler with synthetic names on purpose.
-    {"stats-schema", "tests/obs_test.cc"},
-    {"stats-schema", "tests/timeseries_test.cc"},
 };
 
 // unordered-iter fires only in determinism-sensitive files: ones that emit
@@ -568,23 +565,20 @@ inline void check_trace_schema(const LexedFile& lexed,
   }
 }
 
-// stats-schema: every PDS_TS_COLUMN registration and PDS_PROF_SCOPE site
-// whose name is a literal string must be registered in tools/stats_schema.h
-// (kSeriesCatalog / kProfileScopeCatalog). Computed names cannot be checked
-// statically and are skipped.
+// stats-schema: every PDS_PROF_SCOPE site whose name is a literal string
+// must name a scope listed in obs::kProfileScopes (src/obs/profiler.h).
+// Computed names cannot be checked statically and are skipped.
 inline void check_stats_schema(const LexedFile& lexed, const std::string& file,
                                const Suppressions& sup,
                                std::vector<Finding>& out) {
   if (file_allowlisted("stats-schema", file)) return;
   const auto& toks = lexed.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent) continue;
-    const bool is_column = toks[i].text == "PDS_TS_COLUMN";
-    const bool is_scope = toks[i].text == "PDS_PROF_SCOPE";
-    if (!is_column && !is_scope) continue;
+    if (toks[i].kind != TokKind::kIdent || toks[i].text != "PDS_PROF_SCOPE") {
+      continue;
+    }
     if (i + 1 >= toks.size() || toks[i + 1].text != "(") continue;
-    // Both macros carry the name as argument 1 (0-indexed):
-    // PDS_TS_COLUMN(ts, name[, kind]) / PDS_PROF_SCOPE(profiler, name).
+    // PDS_PROF_SCOPE(profiler, name): the name is argument 1 (0-indexed).
     constexpr std::size_t kNameArg = 1;
     int depth = 0;
     std::size_t arg = 0;
@@ -616,27 +610,12 @@ inline void check_stats_schema(const LexedFile& lexed, const std::string& file,
         name_tok->text.size() >= 2
             ? name_tok->text.substr(1, name_tok->text.size() - 2)
             : name_tok->text;
-    bool registered = false;
-    if (is_column) {
-      for (const tools::SeriesSchema& s : tools::kSeriesCatalog) {
-        if (name == s.name) {
-          registered = true;
-          break;
-        }
-      }
-    } else {
-      for (const char* s : tools::kProfileScopeCatalog) {
-        if (name == s) {
-          registered = true;
-          break;
-        }
-      }
-    }
-    if (!registered) {
+    if (std::find(obs::kProfileScopes.begin(), obs::kProfileScopes.end(),
+                  name) == obs::kProfileScopes.end()) {
       add_finding(out, sup, file, "stats-schema", toks[i].line,
-                  std::string(is_column ? "series column '"
-                                        : "profiler scope '") +
-                      name + "' is not registered in tools/stats_schema.h");
+                  "profiler scope '" + name +
+                      "' is not listed in obs::kProfileScopes "
+                      "(src/obs/profiler.h)");
     }
   }
 }

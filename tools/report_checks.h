@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "tools/lint_common.h"
 #include "tools/report_reader.h"
 
 namespace pds::tools {
@@ -27,7 +28,6 @@ namespace pds::tools {
 inline constexpr const char* kBenchReportSchema = "pds-bench-report/1";
 inline constexpr const char* kCausalReportSchema = "pds-causal-report/1";
 inline constexpr const char* kStatsReportSchema = "pds-stats-report/1";
-inline constexpr const char* kFlowReportSchema = "pds-flow-report/1";
 
 // Peak-RSS ceiling for the 50k-node scale run (ROADMAP's 0.8 GB target plus
 // allocator/measurement headroom), enforced by the `rss-peak-50k-budget`
@@ -487,13 +487,14 @@ inline void validate_stats_report(const JsonValue& root,
   }
 }
 
-// Schema check for pds-flow-report/1 documents (pdsflow --json findings,
-// tools/flow_engine.h). Valid iff `errors` stays empty: rule table,
-// per-finding fields (fingerprint required on unsuppressed findings so the
-// baseline workflow can always key them), and a summary whose counts match
-// the findings actually listed.
-inline void validate_flow_report(const JsonValue& root,
-                                 std::vector<std::string>& errors) {
+// Schema check for the findings reports lint::render_findings_json emits:
+// pds-lint-report/1 (pdslint --json) and pds-flow-report/1 (pdsflow
+// --json). Valid iff `errors` stays empty: rule table, per-finding fields,
+// and a summary whose counts match the findings actually listed. Flow
+// findings other than bad-suppression must also carry a fingerprint, so the
+// baseline workflow can always key them.
+inline void validate_findings_report(const JsonValue& root,
+                                     std::vector<std::string>& errors) {
   using check_detail::require_string;
   if (!root.is_object()) {
     errors.emplace_back("document is not a JSON object");
@@ -501,9 +502,11 @@ inline void validate_flow_report(const JsonValue& root,
   }
   std::string schema;
   require_string(root, "schema", schema, "root", errors);
-  if (!schema.empty() && schema != kFlowReportSchema) {
+  const bool is_flow = schema == lint::kFlowReportSchema;
+  if (!schema.empty() && !is_flow && schema != lint::kLintReportSchema) {
     errors.push_back("unsupported schema \"" + schema + "\" (want " +
-                     kFlowReportSchema + ")");
+                     lint::kLintReportSchema + " or " +
+                     lint::kFlowReportSchema + ")");
   }
 
   std::string text;
@@ -563,9 +566,9 @@ inline void validate_flow_report(const JsonValue& root,
       // bad-suppression findings carry no fingerprint; every flow-rule
       // finding must, or the baseline cannot key it.
       const JsonValue* fingerprint = f.find("fingerprint");
-      if ((fingerprint == nullptr || !fingerprint->is_string() ||
-           fingerprint->text.empty()) &&
-          rule != "bad-suppression") {
+      if (is_flow && rule != "bad-suppression" &&
+          (fingerprint == nullptr || !fingerprint->is_string() ||
+           fingerprint->text.empty())) {
         errors.push_back(where + ": missing string \"fingerprint\"");
       }
       if (is_suppressed) {

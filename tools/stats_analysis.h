@@ -3,7 +3,10 @@
 // Shared between `pdscli stats` and the bench binaries so the numbers a
 // bench folds into its report's "stats" section are computed by exactly the
 // code path a user sees on the command line — the same round-trip discipline
-// bench_common.h's CausalCapture established for causal traces.
+// bench_common.h's CausalCapture established for causal traces. Column
+// names are not catalogued here: the collector in Scenario::attach_sampler
+// defines them, and a reader that needs one looks it up with
+// series_column(); bench_common.h's add_stats_point fails on a gap.
 #pragma once
 
 #include <algorithm>
@@ -15,11 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/timeseries.h"
 #include "tools/report_reader.h"
 
 namespace pds::tools {
-
-inline constexpr const char* kTimeSeriesSchemaName = "pds-timeseries/1";
 
 struct SeriesColumn {
   std::string name;
@@ -67,9 +69,9 @@ inline std::optional<ParsedSeries> parse_timeseries(const std::string& text,
     }
     if (!saw_header) {
       const JsonValue* schema = root->find("schema");
-      if (schema == nullptr || schema->text != kTimeSeriesSchemaName) {
+      if (schema == nullptr || schema->text != obs::kTimeSeriesSchema) {
         return fail(std::string("header schema must be ") +
-                    kTimeSeriesSchemaName);
+                    obs::kTimeSeriesSchema);
       }
       const JsonValue* interval = root->find("interval_us");
       const JsonValue* columns = root->find("columns");
@@ -212,7 +214,9 @@ inline int series_column(const ParsedSeries& s, const std::string& name) {
 // Channel utilization per interval, derived from the cumulative airtime
 // column: util[i] = (air_us[i] - air_us[i-1]) / interval — the average
 // number of concurrent transmissions over the interval. Empty when the
-// airtime column is missing.
+// airtime column is missing: `pdscli stats` then reports no utilization (a
+// legal pds-stats-report/1), while benches reject such a capture up front
+// (bench_common.h's stats_point_gap).
 inline std::vector<double> channel_utilization(const ParsedSeries& s) {
   std::vector<double> out;
   const int col = series_column(s, "radio.air_us");
