@@ -1,5 +1,7 @@
 #include "core/data_store.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 
 namespace pds::core {
@@ -13,7 +15,10 @@ bool DataStore::insert_metadata(const DataDescriptor& d, bool has_payload,
     rec.descriptor = d;
     rec.has_payload = has_payload;
     rec.expire_at = has_payload ? SimTime::max() : now + ttl;
-    if (!has_payload) rec.cached_at = now;
+    if (!has_payload) {
+      rec.cached_at = now;
+      earliest_expiry_ = std::min(earliest_expiry_, rec.expire_at);
+    }
     metadata_.emplace(key, std::move(rec));
     return true;
   }
@@ -57,6 +62,7 @@ std::vector<DataStore::MetaMatch> DataStore::match_metadata_records(
 }
 
 std::size_t DataStore::metadata_count(SimTime now) const {
+  if (now < earliest_expiry_) return metadata_.size();
   std::size_t n = 0;
   for (const auto& [key, rec] : metadata_) {
     if (!rec.expired(now)) ++n;
@@ -130,6 +136,7 @@ void DataStore::evict_cached_chunks_if_needed(SimTime now) {
     if (auto meta = metadata_.find(key); meta != metadata_.end()) {
       meta->second.has_payload = false;
       meta->second.expire_at = now + eviction_metadata_ttl_;
+      earliest_expiry_ = std::min(earliest_expiry_, meta->second.expire_at);
     }
     PDS_ENSURE(cached_chunk_bytes_ >= victim->second.payload.size_bytes);
     cached_chunk_bytes_ -= victim->second.payload.size_bytes;
@@ -184,8 +191,17 @@ std::vector<net::ItemPayload> DataStore::match_items(const Filter& f,
 std::size_t DataStore::item_count() const { return items_.size(); }
 
 void DataStore::sweep(SimTime now) {
+  earliest_expiry_ = SimTime::max();
   for (auto it = metadata_.begin(); it != metadata_.end();) {
-    it = it->second.expired(now) ? metadata_.erase(it) : std::next(it);
+    const MetaRecord& rec = it->second;
+    if (rec.expired(now)) {
+      it = metadata_.erase(it);
+      continue;
+    }
+    if (!rec.has_payload) {
+      earliest_expiry_ = std::min(earliest_expiry_, rec.expire_at);
+    }
+    ++it;
   }
 }
 

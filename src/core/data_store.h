@@ -62,6 +62,11 @@ class DataStore {
   };
   [[nodiscard]] std::vector<MetaMatch> match_metadata_records(
       const Filter& f, SimTime now) const;
+  // Unexpired entries at `now`; always exact. O(1) while `now` is before
+  // the earliest expiry any cached-only entry can have (the maintained
+  // `earliest_expiry_` bound); once a cached-only copy may have expired
+  // since the last sweep() it falls back to an O(store) scan. It never
+  // sweeps: erasing would reorder the map, and match order is on the wire.
   [[nodiscard]] std::size_t metadata_count(SimTime now) const;
 
   // -- Chunks ------------------------------------------------------------
@@ -104,6 +109,7 @@ class DataStore {
   // Cache limits and eviction policy survive (they are configuration).
   void clear() {
     metadata_.clear();
+    earliest_expiry_ = SimTime::max();
     chunks_.clear();
     items_.clear();
     cached_chunk_bytes_ = 0;
@@ -134,6 +140,11 @@ class DataStore {
   void evict_cached_chunks_if_needed(SimTime now);
 
   std::unordered_map<std::uint64_t, MetaRecord> metadata_;
+  // Lower bound on expire_at over cached-only records: lowered when a
+  // record becomes cached-only (insert, eviction demotion), recomputed
+  // exactly by sweep(). Refreshes only extend expire_at and payload
+  // upgrades leave the set, so neither needs to touch it.
+  SimTime earliest_expiry_ = SimTime::max();
   std::map<std::pair<ItemId, ChunkIndex>, ChunkRecord> chunks_;
   std::unordered_map<std::uint64_t, net::ItemPayload> items_;
 

@@ -54,8 +54,6 @@ std::size_t LingeringQueryTable::purge_upstream(NodeId upstream,
 LingeringQueryTable::BloomStats LingeringQueryTable::bloom_stats() const {
   BloomStats out;
   for (const auto& [id, lq] : table_) {
-    if (lq.exclude.empty_filter()) continue;
-    ++out.filters;
     out.max_fill = std::max(out.max_fill, lq.exclude.fill_ratio());
   }
   return out;

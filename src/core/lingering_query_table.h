@@ -91,12 +91,11 @@ class LingeringQueryTable {
 
   [[nodiscard]] std::size_t size() const { return table_.size(); }
 
-  // Flight-recorder snapshot (DESIGN.md §15): how many entries carry a
-  // non-empty Bloom filter and the fullest filter among them. Max over an
-  // unordered map is iteration-order independent, so the sample is
-  // deterministic.
+  // Flight-recorder snapshot (DESIGN.md §15): the fullest exclude filter
+  // among the entries, O(1) per entry (BloomFilter keeps its set-bit
+  // count). Max over an unordered map is iteration-order independent, so
+  // the sample is deterministic.
   struct BloomStats {
-    std::size_t filters = 0;
     double max_fill = 0.0;
   };
   [[nodiscard]] BloomStats bloom_stats() const;

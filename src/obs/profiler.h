@@ -32,8 +32,8 @@ namespace pds::obs {
 // Every PDS_PROF_SCOPE name. The hierarchy is runtime nesting, so this lists
 // names, not paths; pdslint's `stats-schema` rule rejects a literal scope
 // name missing here.
-inline constexpr std::array<const char*, 6> kProfileScopes = {
-    "sim", "radio", "scheduler", "pdd", "pdr", "transport",
+inline constexpr std::array<const char*, 7> kProfileScopes = {
+    "sim", "radio", "scheduler", "pdd", "pdr", "transport", "telemetry",
 };
 
 class Profiler {

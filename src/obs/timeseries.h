@@ -9,7 +9,11 @@
 // events — so a sampled run is byte-identical to an unsampled one
 // (tests/timeseries_test.cc), and a detached sampler costs the run loop one
 // pointer compare per event (<1% gated by
-// `micro_primitives --stats-overhead-gate`).
+// `micro_primitives --stats-overhead-gate`). Attached, the run loop commits
+// rows under the `telemetry` profiler scope, and the same gate's attached
+// leg fails when a 1 Hz sampler on a 2.5k-node PDD run spends more than 3%
+// of `sim` there; the scenario collector's per-node probes are O(1), so a
+// row costs O(nodes + lingering-query entries) (DESIGN.md §15).
 //
 // Columns carry a kind:
 //  * kSim  — derived purely from simulation state; byte-identical for the
@@ -82,11 +86,15 @@ class TimeSeries {
     collector_ = std::move(collector);
   }
 
+  // True when advance_to(t) would commit at least one row: the run loop
+  // opens its `telemetry` profiler scope only then.
+  [[nodiscard]] bool due(SimTime t) const { return next_at_ <= t; }
+
   // Commits one row per interval boundary in (last committed, t]. Driven by
   // Simulator::run before executing each event and once more at the horizon;
   // safe to call with a non-monotone `t` (stale boundaries are skipped).
   void advance_to(SimTime t) {
-    while (next_at_ <= t) step();
+    while (due(t)) step();
   }
 
   // Drops committed rows and rewinds the boundary cursor; column

@@ -25,7 +25,10 @@ void Simulator::run(SimTime horizon) {
     // reflects the state just before the event that crosses the boundary
     // executes. Reading state only — no scheduling, no RNG — so sampled and
     // unsampled runs stay byte-identical.
-    if (sampler_ != nullptr) sampler_->advance_to(at);
+    if (sampler_ != nullptr && sampler_->due(at)) {
+      PDS_PROF_SCOPE(profiler_, "telemetry");
+      sampler_->advance_to(at);
+    }
     now_ = at;
     ++events_executed_;
     action();
@@ -33,7 +36,9 @@ void Simulator::run(SimTime horizon) {
   if (now_ < horizon && horizon != SimTime::max()) now_ = horizon;
   // Boundaries between the last event and the horizon still get rows, so a
   // quiet tail keeps its (flat) trajectory instead of truncating the series.
-  if (sampler_ != nullptr && horizon != SimTime::max()) {
+  if (sampler_ != nullptr && horizon != SimTime::max() &&
+      sampler_->due(now_)) {
+    PDS_PROF_SCOPE(profiler_, "telemetry");
     sampler_->advance_to(now_);
   }
 }

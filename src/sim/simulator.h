@@ -41,7 +41,8 @@ class Simulator {
   // run loop commits a row at every interval boundary the clock crosses —
   // before executing the event that crosses it, so a row reflects the state
   // "just before t". Null means unsampled; the disabled cost is one pointer
-  // compare per event (gated <1% like the tracer).
+  // compare per event (gated <1% like the tracer). Row commits run under
+  // the `telemetry` profiler scope, opened only when a row is due.
   void set_sampler(obs::TimeSeries* sampler) { sampler_ = sampler; }
   [[nodiscard]] obs::TimeSeries* sampler() const { return sampler_; }
 

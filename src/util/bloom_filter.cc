@@ -43,13 +43,18 @@ void BloomFilter::insert(std::uint64_t key) {
   PDS_ENSURE(!empty_filter());
   for (std::uint32_t i = 0; i < hash_count_; ++i) {
     const std::size_t b = bit_index(key, i);
-    bits_[b / 64] |= (std::uint64_t{1} << (b % 64));
+    std::uint64_t& word = bits_[b / 64];
+    const std::uint64_t mask = std::uint64_t{1} << (b % 64);
+    if ((word & mask) == 0) ++set_bits_;
+    word |= mask;
   }
   ++inserted_;
 }
 
 void BloomFilter::set_word(std::size_t index, std::uint64_t value) {
   PDS_ENSURE(index < bits_.size());
+  set_bits_ -= static_cast<std::size_t>(std::popcount(bits_[index]));
+  set_bits_ += static_cast<std::size_t>(std::popcount(value));
   bits_[index] = value;
 }
 
@@ -69,9 +74,7 @@ std::size_t BloomFilter::wire_size() const {
 
 double BloomFilter::fill_ratio() const {
   if (empty_filter()) return 0.0;
-  std::size_t set = 0;
-  for (std::uint64_t word : bits_) set += std::popcount(word);
-  return static_cast<double>(set) / static_cast<double>(bit_count());
+  return static_cast<double>(set_bits_) / static_cast<double>(bit_count());
 }
 
 void BloomFilter::encode(std::vector<std::byte>& out) const {
@@ -110,7 +113,10 @@ BloomFilter BloomFilter::decode(std::span<const std::byte> in) {
     throw DecodeError("Bloom filter body exceeds buffer");
   }
   BloomFilter f(bits, hashes, seed);
-  for (auto& word : f.bits_) word = r.get_u64();
+  for (auto& word : f.bits_) {
+    word = r.get_u64();
+    f.set_bits_ += static_cast<std::size_t>(std::popcount(word));
+  }
   return f;
 }
 

@@ -46,11 +46,14 @@ class BloomFilter {
   // Raw 64-bit block access for the delta-sync wire path (net/bloom_delta.h):
   // a frame patches individual words of a base filter instead of re-shipping
   // the whole bit array. `set_word` does not touch inserted_count(), which
-  // only tracks keys added through insert().
+  // only tracks keys added through insert(); it adjusts the set-bit count
+  // behind fill_ratio() by the word's popcount delta.
   [[nodiscard]] std::span<const std::uint64_t> words() const { return bits_; }
   void set_word(std::size_t index, std::uint64_t value);
 
-  // Fraction of bits set; diagnostic for tests.
+  // Fraction of bits set, O(1) from the maintained count. The flight
+  // recorder reads it once per lingering query per row (`lqt.bloom_fill_max`,
+  // DESIGN.md §15).
   [[nodiscard]] double fill_ratio() const;
 
   void encode(std::vector<std::byte>& out) const;
@@ -64,6 +67,8 @@ class BloomFilter {
   std::uint32_t hash_count_ = 0;
   std::uint64_t seed_ = 0;
   std::size_t inserted_ = 0;
+  // Bits set in bits_, kept current by insert, set_word and decode.
+  std::size_t set_bits_ = 0;
 };
 
 }  // namespace pds::util

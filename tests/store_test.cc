@@ -2,8 +2,11 @@
 // semantics and expiration), LingeringQueryTable, CdiTable.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/cdi_table.h"
 #include "core/data_store.h"
 #include "core/lingering_query_table.h"
@@ -90,6 +93,82 @@ TEST(DataStore, SweepRemovesExpired) {
   store.insert_metadata(entry(100), true, SimTime::zero(), SimTime::zero());
   store.sweep(SimTime::seconds(2.0));
   EXPECT_EQ(store.metadata_count(SimTime::seconds(2.0)), 1u);
+}
+
+// metadata_count(t) answers in O(1) while no cached-only copy can have
+// expired and scans otherwise; either way it must equal a full recount, at
+// any t and in any order of t. Probes around the latest expiries the test
+// scheduled: just before, at and just after each, plus the current time and
+// a later one.
+void expect_count_matches_recount(const DataStore& store, SimTime now,
+                                  const std::vector<SimTime>& expiries,
+                                  int step) {
+  std::vector<SimTime> probes = {now + SimTime::seconds(5.0), now};
+  const std::size_t latest = std::min<std::size_t>(expiries.size(), 3);
+  for (std::size_t i = 0; i < latest; ++i) {
+    const SimTime at = expiries[expiries.size() - 1 - i];
+    probes.push_back(at + SimTime::micros(1));
+    probes.push_back(at);
+    probes.push_back(at - SimTime::micros(1));
+  }
+  for (const SimTime t : probes) {
+    ASSERT_EQ(store.metadata_count(t), store.match_metadata(Filter{}, t).size())
+        << "step " << step << ", t=" << t.as_micros() << "us";
+  }
+}
+
+TEST(DataStore, MetadataCountMatchesRecountUnderRandomOperations) {
+  for (const ChunkEvictionPolicy policy :
+       {ChunkEvictionPolicy::kLru, ChunkEvictionPolicy::kLfu}) {
+    SCOPED_TRACE(policy == ChunkEvictionPolicy::kLru ? "LRU" : "LFU");
+    Rng rng(policy == ChunkEvictionPolicy::kLru ? 11 : 12);
+    DataStore store;
+    // Three 100-byte chunks fit; every further one evicts and demotes a
+    // chunk entry to cached-only with this TTL.
+    const SimTime eviction_ttl = SimTime::seconds(1.0);
+    store.set_chunk_cache_limit(300, policy, eviction_ttl);
+    const std::array<SimTime, 4> ttls = {SimTime::zero(), SimTime::millis(500),
+                                         SimTime::seconds(1.0),
+                                         SimTime::seconds(2.0)};
+    const std::array<DataDescriptor, 2> items = {chunked_item(8),
+                                                 chunked_item(6)};
+    std::vector<SimTime> expiries;
+    SimTime now = SimTime::zero();
+    for (int step = 0; step < 2000; ++step) {
+      now += SimTime::millis(rng.uniform_int(0, 300));
+      const std::int64_t op = rng.uniform_int(0, 99);
+      // A small key pool, so most inserts refresh or upgrade a record.
+      const int key = static_cast<int>(rng.uniform_int(0, 29));
+      if (op < 50) {
+        const bool payload = rng.uniform_int(0, 3) == 0;
+        const SimTime ttl =
+            ttls[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+        store.insert_metadata(entry(key), payload, now, ttl);
+        if (!payload) expiries.push_back(now + ttl);
+      } else if (op < 65) {
+        net::ItemPayload item;
+        item.descriptor = entry(key);
+        item.size_bytes = 10;
+        item.content_hash = static_cast<std::uint64_t>(key);
+        store.insert_item(item, now);
+      } else if (op < 94) {
+        const DataDescriptor& item =
+            items[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+        const auto index = static_cast<ChunkIndex>(rng.uniform_int(0, 5));
+        store.insert_chunk(item, index,
+                           net::ChunkPayload{.index = index, .size_bytes = 100,
+                                             .content_hash = index},
+                           now, /*pinned=*/rng.uniform_int(0, 9) == 0);
+        expiries.push_back(now + eviction_ttl);
+      } else if (op < 99) {
+        store.sweep(now);
+      } else {
+        store.clear();
+      }
+      expect_count_matches_recount(store, now, expiries, step);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // -- DataStore: chunks ---------------------------------------------------------

@@ -3,8 +3,10 @@
 // outcome bit-identical to the unsampled run, (b) the deterministic (sim-
 // kind) series projection is byte-identical across PDS_BENCH_JOBS worker
 // pools, (c) the scenario collector carries every column a consumer reads
-// by name, with sane (non-negative, cumulative-monotone) values, and (d) a
-// capture missing such a column fails the bench instead of reading as 0.
+// by name, with sane (non-negative, cumulative-monotone) values, (d) a
+// capture missing such a column fails the bench instead of reading as 0,
+// and (e) the O(1) store probe records the exact live-entry count while
+// cached copies expire mid-run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,11 +15,13 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/node.h"
 #include "obs/profiler.h"
 #include "obs/timeseries.h"
 #include "parallel_runs.h"
 #include "tools/stats_analysis.h"
 #include "workload/experiment.h"
+#include "workload/scenario.h"
 
 namespace pds::wl {
 namespace {
@@ -207,6 +211,59 @@ TEST(TimeSeriesDeterminism, StatsCaptureRoundTripsThroughAnalysis) {
     EXPECT_GE(s.peak, s.p99) << s.name;
     EXPECT_GE(s.p99, s.p50) << s.name;
   }
+}
+
+// With a 3 s cached-entry TTL, relayed copies expire mid-run and stay in
+// the stores until the next amortized sweep, so `store.metadata` must be the
+// exact live count, not the record count. The run goes in slices that stop
+// 1 us before each boundary: the state there is the state the row at that
+// boundary reads, and the test recounts it with match_metadata.
+TEST(TimeSeriesDeterminism, StoreMetadataColumnMatchesRecountUnderTtlExpiry) {
+  GridSetup setup;
+  setup.nx = setup.ny = 5;
+  setup.pds.metadata_ttl = SimTime::seconds(3.0);
+  Grid grid = make_grid(setup, 17);
+  Scenario& sc = *grid.scenario;
+  const SimTime interval = SimTime::millis(100);
+  obs::TimeSeries sampler(interval);
+  sc.attach_sampler(&sampler);
+  const int col = sampler.column("store.metadata");
+
+  for (int i = 0; i < 60; ++i) {
+    core::DataDescriptor d;
+    d.set("seq", std::int64_t{i});
+    sc.node(grid.ids[static_cast<std::size_t>(i % 3)]).publish_metadata(d);
+  }
+  const auto discover = [](core::PdsNode& n) {
+    n.discover(core::Filter{}, [](const core::DiscoverySession::Result&) {});
+  };
+  discover(grid.center_node());
+  // A second consumer after the first one's relayed copies have expired.
+  sc.sim().schedule_at(SimTime::seconds(8.0),
+                       [&] { discover(sc.node(grid.ids.back())); });
+
+  std::vector<double> recount;
+  constexpr int kBoundaries = 150;
+  for (int k = 1; k <= kBoundaries; ++k) {
+    const SimTime at = interval * static_cast<double>(k);
+    sc.run_until(at - SimTime::micros(1));
+    double live = 0.0;
+    for (core::PdsNode* n : sc.nodes()) {
+      live += static_cast<double>(
+          n->store().match_metadata(core::Filter{}, at).size());
+    }
+    recount.push_back(live);
+  }
+  sc.run_until(interval * static_cast<double>(kBoundaries));
+
+  ASSERT_EQ(sampler.row_count(), recount.size());
+  bool expired_mid_run = false;
+  for (std::size_t r = 0; r < recount.size(); ++r) {
+    EXPECT_EQ(sampler.value(r, col), recount[r])
+        << "row at " << sampler.row_time(r).as_micros() << "us";
+    if (r > 0 && recount[r] < recount[r - 1]) expired_mid_run = true;
+  }
+  EXPECT_TRUE(expired_mid_run);
 }
 
 }  // namespace

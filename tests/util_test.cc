@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <vector>
 
 #include "common/rng.h"
+#include "net/bloom_delta.h"
 #include "util/bloom_filter.h"
 #include "util/dedup_cache.h"
 #include "util/gap_assign.h"
@@ -116,6 +119,77 @@ TEST(BloomFilter, FillRatioGrowsWithInsertions) {
   EXPECT_GT(f.fill_ratio(), half);
   // At design capacity the fill ratio should be near 50%.
   EXPECT_NEAR(f.fill_ratio(), 0.5, 0.05);
+}
+
+// fill_ratio() reads a set-bit count kept up to date by every write; the
+// oracle recounts the words.
+double recounted_fill(const BloomFilter& f) {
+  if (f.empty_filter()) return 0.0;
+  std::size_t set = 0;
+  for (const std::uint64_t word : f.words()) {
+    set += static_cast<std::size_t>(std::popcount(word));
+  }
+  return static_cast<double>(set) / static_cast<double>(f.bit_count());
+}
+
+TEST(BloomFilter, FillRatioMatchesPopcountAfterEveryWrite) {
+  EXPECT_EQ(BloomFilter{}.fill_ratio(), recounted_fill(BloomFilter{}));
+  BloomFilter f = BloomFilter::with_capacity(200, 0.01, 3);
+  EXPECT_EQ(f.fill_ratio(), 0.0);
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    f.insert(k * 7919);
+    ASSERT_EQ(f.fill_ratio(), recounted_fill(f)) << "insert " << k;
+  }
+  f.insert(0);  // every bit already set
+  EXPECT_EQ(f.fill_ratio(), recounted_fill(f));
+
+  const std::uint64_t kept = f.words()[2];
+  f.set_word(0, ~std::uint64_t{0});  // raises bits
+  EXPECT_EQ(f.fill_ratio(), recounted_fill(f));
+  f.set_word(1, 0);  // clears bits
+  EXPECT_EQ(f.fill_ratio(), recounted_fill(f));
+  f.set_word(2, kept);  // no change
+  EXPECT_EQ(f.fill_ratio(), recounted_fill(f));
+  f.set_word(3, 0x5555555555555555ULL);  // raises some, clears others
+  EXPECT_EQ(f.fill_ratio(), recounted_fill(f));
+
+  std::vector<std::byte> bytes;
+  f.encode(bytes);
+  const BloomFilter decoded = BloomFilter::decode(bytes);
+  EXPECT_EQ(decoded.fill_ratio(), recounted_fill(decoded));
+  EXPECT_EQ(decoded.fill_ratio(), f.fill_ratio());
+
+  BloomFilter copy = f;
+  EXPECT_EQ(copy.fill_ratio(), f.fill_ratio());
+  copy.set_word(0, 0);
+  copy.insert(123456789);
+  EXPECT_EQ(copy.fill_ratio(), recounted_fill(copy));
+  EXPECT_EQ(f.fill_ratio(), recounted_fill(f));  // the original is untouched
+  BloomFilter assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.fill_ratio(), recounted_fill(assigned));
+}
+
+TEST(BloomFilter, FillRatioSurvivesDeltaSyncRoundTrip) {
+  // The receiver rebuilds filters with set_word: a full frame onto a fresh
+  // filter, then a delta patching the changed words.
+  BloomFilter f = BloomFilter::with_capacity(500, 0.01, 21);
+  for (std::uint64_t k = 0; k < 100; ++k) f.insert(k);
+  net::DeltaBloomSender sender;
+  net::BloomSyncCache cache;
+  const net::BloomDeltaFrame full = sender.next_frame(1, 0, f);
+  ASSERT_TRUE(full.full);
+  const BloomFilter first = cache.apply(full);
+  EXPECT_EQ(first.fill_ratio(), recounted_fill(first));
+  EXPECT_EQ(first.fill_ratio(), f.fill_ratio());
+
+  for (std::uint64_t k = 100; k < 250; ++k) f.insert(k);
+  const net::BloomDeltaFrame delta = sender.next_frame(1, 0, f);
+  ASSERT_FALSE(delta.full);
+  const BloomFilter second = cache.apply(delta);
+  ASSERT_EQ(cache.fallbacks(), 0u);
+  EXPECT_EQ(second.fill_ratio(), recounted_fill(second));
+  EXPECT_EQ(second.fill_ratio(), f.fill_ratio());
 }
 
 // -- LeakyBucket ----------------------------------------------------------------
