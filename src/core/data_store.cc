@@ -42,22 +42,9 @@ bool DataStore::has_metadata(std::uint64_t entry_key, SimTime now) const {
 std::vector<DataDescriptor> DataStore::match_metadata(const Filter& f,
                                                       SimTime now) const {
   std::vector<DataDescriptor> out;
-  for (const auto& [key, rec] : metadata_) {
-    if (rec.expired(now)) continue;
+  visit_metadata(now, [&](std::uint64_t, const MetaRecord& rec) {
     if (f.matches(rec.descriptor)) out.push_back(rec.descriptor);
-  }
-  return out;
-}
-
-std::vector<DataStore::MetaMatch> DataStore::match_metadata_records(
-    const Filter& f, SimTime now) const {
-  std::vector<MetaMatch> out;
-  for (const auto& [key, rec] : metadata_) {
-    if (rec.expired(now)) continue;
-    if (f.matches(rec.descriptor)) {
-      out.push_back({rec.descriptor, rec.has_payload, rec.cached_at});
-    }
-  }
+  });
   return out;
 }
 
@@ -176,16 +163,6 @@ void DataStore::insert_item(const net::ItemPayload& item, SimTime now) {
 
 bool DataStore::has_item(std::uint64_t entry_key) const {
   return items_.contains(entry_key);
-}
-
-std::vector<net::ItemPayload> DataStore::match_items(const Filter& f,
-                                                     SimTime now) const {
-  (void)now;
-  std::vector<net::ItemPayload> out;
-  for (const auto& [key, item] : items_) {
-    if (f.matches(item.descriptor)) out.push_back(item);
-  }
-  return out;
 }
 
 std::size_t DataStore::item_count() const { return items_.size(); }

@@ -41,6 +41,23 @@ enum class ChunkEvictionPolicy {
 
 class DataStore {
  public:
+  // A metadata entry and its caching provenance: whether this node holds
+  // the payload (publisher/retriever copy) and, for cached-only copies, when
+  // the copy last arrived off the air. Serve-time suppression
+  // (`entry_serve_cooldown`, DESIGN.md §16) reads both.
+  struct MetaRecord {
+    DataDescriptor descriptor;
+    bool has_payload = false;
+    SimTime expire_at = SimTime::max();
+    // Last time a cached-only copy of this entry arrived off the air
+    // (relayed or overheard response). Meaningless once payload-backed.
+    SimTime cached_at = SimTime::zero();
+
+    [[nodiscard]] bool expired(SimTime now) const {
+      return !has_payload && expire_at <= now;
+    }
+  };
+
   // -- Metadata --------------------------------------------------------------
   // Inserts (or refreshes) a metadata entry. `has_payload` entries never
   // expire; cached-only entries expire at now + ttl. Returns true when the
@@ -48,20 +65,10 @@ class DataStore {
   bool insert_metadata(const DataDescriptor& d, bool has_payload, SimTime now,
                        SimTime ttl);
   [[nodiscard]] bool has_metadata(std::uint64_t entry_key, SimTime now) const;
-  // All unexpired entries matching the filter.
+  // Unexpired entries matching the filter, copied (a thin wrapper over
+  // visit_metadata for tests and replays).
   [[nodiscard]] std::vector<DataDescriptor> match_metadata(const Filter& f,
                                                            SimTime now) const;
-  // Matching entries with their caching provenance: whether this node holds
-  // the payload (publisher/retriever copy) and, for cached-only copies, when
-  // the copy last arrived off the air. Serve-time suppression
-  // (`entry_serve_cooldown`, DESIGN.md §16) needs both.
-  struct MetaMatch {
-    DataDescriptor descriptor;
-    bool has_payload = false;
-    SimTime cached_at = SimTime::zero();
-  };
-  [[nodiscard]] std::vector<MetaMatch> match_metadata_records(
-      const Filter& f, SimTime now) const;
   // Unexpired entries at `now`; always exact. O(1) while `now` is before
   // the earliest expiry any cached-only entry can have (the maintained
   // `earliest_expiry_` bound); once a cached-only copy may have expired
@@ -98,9 +105,29 @@ class DataStore {
   // -- Small items -----------------------------------------------------------
   void insert_item(const net::ItemPayload& item, SimTime now);
   [[nodiscard]] bool has_item(std::uint64_t entry_key) const;
-  [[nodiscard]] std::vector<net::ItemPayload> match_items(const Filter& f,
-                                                          SimTime now) const;
   [[nodiscard]] std::size_t item_count() const;
+
+  // -- Matching --------------------------------------------------------------
+  // The store's one match primitive. visit_metadata calls `fn(key, record)`
+  // for every live metadata record, skipping expired cached-only ones;
+  // visit_items calls `fn(key, item)` for every small item (items never
+  // expire). `key` is the record's entry_key(). Records are yielded by
+  // reference, without a copy, in the maps' iteration order. That order
+  // reaches the wire (responses list entries in it); it depends only on the
+  // history of inserts and erases, under a given standard library's hash
+  // order. Callers decide on the key first (already served? in the query's
+  // Bloom filter?), then on `Filter::matches`, and copy only what they
+  // send. `fn` must not modify the store.
+  template <typename Fn>
+  void visit_metadata(SimTime now, Fn&& fn) const {
+    for (const auto& [key, rec] : metadata_) {
+      if (!rec.expired(now)) fn(key, rec);
+    }
+  }
+  template <typename Fn>
+  void visit_items(Fn&& fn) const {
+    for (const auto& [key, item] : items_) fn(key, item);
+  }
 
   // Drops expired cached-only metadata entries.
   void sweep(SimTime now);
@@ -116,19 +143,6 @@ class DataStore {
   }
 
  private:
-  struct MetaRecord {
-    DataDescriptor descriptor;
-    bool has_payload = false;
-    SimTime expire_at = SimTime::max();
-    // Last time a cached-only copy of this entry arrived off the air
-    // (relayed or overheard response). Meaningless once payload-backed.
-    SimTime cached_at = SimTime::zero();
-
-    [[nodiscard]] bool expired(SimTime now) const {
-      return !has_payload && expire_at <= now;
-    }
-  };
-
   struct ChunkRecord {
     net::ChunkPayload payload;
     DataDescriptor item_descriptor;

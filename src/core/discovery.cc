@@ -39,17 +39,19 @@ void DiscoverySession::start() {
   // traffic) count as received immediately; the paper's 5th sequential
   // consumer finishes in 0.2 s because >95% of entries were pre-cached.
   if (kind_ == net::ContentKind::kMetadata) {
-    for (DataDescriptor& d : ctx_.store.match_metadata(filter_, ctx_.now())) {
-      const std::uint64_t key = d.entry_key();
-      if (!arrivals_.contains(key)) entries_.push_back(d);
-      record_key(key);
-    }
+    ctx_.store.visit_metadata(
+        ctx_.now(), [&](std::uint64_t key, const DataStore::MetaRecord& rec) {
+          if (!filter_.matches(rec.descriptor)) return;
+          if (!arrivals_.contains(key)) entries_.push_back(rec.descriptor);
+          record_key(key);
+        });
   } else {
-    for (net::ItemPayload& item : ctx_.store.match_items(filter_, ctx_.now())) {
-      const std::uint64_t key = item.descriptor.entry_key();
-      if (!arrivals_.contains(key)) items_.push_back(item);
-      record_key(key);
-    }
+    ctx_.store.visit_items(
+        [&](std::uint64_t key, const net::ItemPayload& item) {
+          if (!filter_.matches(item.descriptor)) return;
+          if (!arrivals_.contains(key)) items_.push_back(item);
+          record_key(key);
+        });
   }
   round_new_ = 0;  // pre-cached entries do not count as round progress
   start_round();

@@ -1,6 +1,7 @@
 #include "core/pdd.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -20,15 +21,18 @@ bool is_pdd_kind(net::ContentKind kind) {
          kind == net::ContentKind::kItem;
 }
 
-// Does this lingering query still need the entry with the given descriptor
-// and key? (filter match, not yet served through this node, not already held
-// by the consumer per the query's Bloom filter)
+// Is the entry with this key still wanted by the lingering query? (not yet
+// served through this node, not already held by the consumer per the
+// query's Bloom filter). Callers test it before the filter: once en-route
+// rewriting has run, most entries a relay holds fail here.
+bool still_wanted(const LingeringQuery& lq, std::uint64_t key) {
+  return !lq.served_keys.contains(key) && !lq.exclude.maybe_contains(key);
+}
+
+// ... and does the entry also match the query's filter?
 bool wants(const LingeringQuery& lq, const DataDescriptor& d,
            std::uint64_t key) {
-  if (!lq.query->filter.matches(d)) return false;
-  if (lq.served_keys.contains(key)) return false;
-  if (lq.exclude.maybe_contains(key)) return false;
-  return true;
+  return still_wanted(lq, key) && lq.query->filter.matches(d);
 }
 
 void mark_served(LingeringQuery& lq, std::uint64_t key, bool bloom_rewriting) {
@@ -138,24 +142,19 @@ void PddEngine::serve_from_store(LingeringQuery& lq) {
 
   if (q.kind == net::ContentKind::kMetadata) {
     std::vector<DataDescriptor> fresh;
-    for (DataStore::MetaMatch& m :
-         ctx_.store.match_metadata_records(q.filter, now)) {
-      const std::uint64_t key = m.descriptor.entry_key();
-      if (lq.served_keys.contains(key) || lq.exclude.maybe_contains(key)) {
-        continue;
-      }
+    ctx_.store.visit_metadata(now, [&](std::uint64_t key,
+                                       const DataStore::MetaRecord& rec) {
       // Serve cooldown (DESIGN.md §16): a cached-only copy that just came
       // off the air is still in flight toward its consumer through the node
       // it was heard from; re-serving it from every cache along the path
       // multiplies response traffic. Publisher copies are never suppressed,
       // so a lost in-flight copy is recovered by the next round's filter
       // gap.
-      if (!m.has_payload &&
-          now < m.cached_at + cfg.entry_serve_cooldown) {
-        continue;
+      if (!rec.has_payload && now < rec.cached_at + cfg.entry_serve_cooldown) {
+        return;
       }
-      fresh.push_back(std::move(m.descriptor));
-    }
+      if (wants(lq, rec.descriptor, key)) fresh.push_back(rec.descriptor);
+    });
     for (std::size_t begin = 0; begin < fresh.size();
          begin += cfg.max_entries_per_response) {
       const std::size_t end =
@@ -166,8 +165,10 @@ void PddEngine::serve_from_store(LingeringQuery& lq) {
       resp->response_id = ctx_.new_response_id();
       resp->sender = ctx_.self;
       resp->receivers = {lq.upstream};
-      resp->metadata.assign(fresh.begin() + static_cast<std::ptrdiff_t>(begin),
-                            fresh.begin() + static_cast<std::ptrdiff_t>(end));
+      const auto first = fresh.begin() + static_cast<std::ptrdiff_t>(begin);
+      const auto last = fresh.begin() + static_cast<std::ptrdiff_t>(end);
+      resp->metadata.assign(std::make_move_iterator(first),
+                            std::make_move_iterator(last));
       for (const DataDescriptor& d : resp->metadata) {
         mark_served(lq, d.entry_key(), cfg.enable_bloom_rewriting);
       }
@@ -180,13 +181,9 @@ void PddEngine::serve_from_store(LingeringQuery& lq) {
 
   // Small items: batch by payload bytes rather than entry count.
   std::vector<net::ItemPayload> fresh;
-  for (net::ItemPayload& item : ctx_.store.match_items(q.filter, now)) {
-    const std::uint64_t key = item.descriptor.entry_key();
-    if (lq.served_keys.contains(key) || lq.exclude.maybe_contains(key)) {
-      continue;
-    }
-    fresh.push_back(std::move(item));
-  }
+  ctx_.store.visit_items([&](std::uint64_t key, const net::ItemPayload& item) {
+    if (wants(lq, item.descriptor, key)) fresh.push_back(item);
+  });
   std::size_t begin = 0;
   while (begin < fresh.size()) {
     auto resp = std::make_shared<net::Message>();

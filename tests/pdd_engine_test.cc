@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <set>
+#include <vector>
 
+#include "core/pdd.h"
 #include "net/transport.h"
+#include "util/bloom_filter.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
 
@@ -65,7 +70,7 @@ class CountingScenario {
       } else {
         ++counts_.responses;
         counts_.response_bytes += f.size_bytes;
-        counts_.entries_on_air += msg->metadata.size();
+        counts_.entries_on_air += msg->metadata.size() + msg->items.size();
       }
     });
   }
@@ -184,22 +189,39 @@ TEST(PddEngine, OverhearingCachePopulatesBystanders) {
 }
 
 TEST(PddEngine, FilterPrunesResponses) {
-  PdsConfig pds;
-  CountingScenario sc(3, pds);
-  for (int i = 0; i < 20; ++i) sc->node(NodeId(2)).publish_metadata(entry(i));
+  for (const bool items : {false, true}) {
+    SCOPED_TRACE(items ? "items" : "metadata");
+    PdsConfig pds;
+    CountingScenario sc(3, pds);
+    for (int i = 0; i < 20; ++i) {
+      if (items) {
+        net::ItemPayload item;
+        item.descriptor = entry(i);
+        item.size_bytes = 100;
+        sc->node(NodeId(2)).publish_item(item);
+      } else {
+        sc->node(NodeId(2)).publish_metadata(entry(i));
+      }
+    }
 
-  Filter f;
-  f.where_range("seq", std::int64_t{5}, std::int64_t{9});
-  std::size_t received = 0;
-  bool done = false;
-  sc->node(NodeId(0)).discover(f, [&](const DiscoverySession::Result& r) {
-    received = r.distinct_received;
-    done = true;
-  });
-  sc->run_until(SimTime::seconds(30));
-  ASSERT_TRUE(done);
-  EXPECT_EQ(received, 5u);
-  EXPECT_EQ(sc.counts().entries_on_air, 10u);  // 5 entries × 2 hops
+    Filter f;
+    f.where_range("seq", std::int64_t{5}, std::int64_t{9});
+    std::size_t received = 0;
+    bool done = false;
+    const auto on_done = [&](const DiscoverySession::Result& r) {
+      received = r.distinct_received;
+      done = true;
+    };
+    if (items) {
+      sc->node(NodeId(0)).collect_items(f, on_done);
+    } else {
+      sc->node(NodeId(0)).discover(f, on_done);
+    }
+    sc->run_until(SimTime::seconds(30));
+    ASSERT_TRUE(done);
+    EXPECT_EQ(received, 5u);
+    EXPECT_EQ(sc.counts().entries_on_air, 10u);  // 5 entries × 2 hops
+  }
 }
 
 TEST(PddEngine, BloomRewritingSuppressesDuplicateEntries) {
@@ -355,6 +377,100 @@ TEST(PddEngine, SmallItemsCollectedWithPayload) {
     EXPECT_EQ(got.content_hash, expected[got.descriptor.entry_key()]);
     EXPECT_EQ(got.size_bytes, 150u);
   }
+}
+
+// Serve-time suppression at one relay (DESIGN.md §16). The relay holds one
+// entry of each kind a fresh lingering query must not be served, plus
+// survivors; it must serve exactly the survivors and the publisher copy, in
+// store order, split at max_entries_per_response. A fresh query's
+// served_keys is empty when the store is served, so the served-key leg is
+// checked afterwards on the push path of the same lingering query.
+TEST(PddEngine, ServeCooldownSkipsOnlyFreshCachedCopies) {
+  PdsConfig pds;
+  pds.entry_serve_cooldown = SimTime::seconds(5);
+  pds.max_entries_per_response = 3;
+  pds.metadata_ttl = SimTime::seconds(60);
+  // Keep the query's Bloom filter as sent, so served_keys alone suppresses
+  // the re-push below.
+  pds.enable_bloom_rewriting = false;
+  auto sc = make_line(2, pds);
+  std::vector<std::vector<std::uint64_t>> responses;
+  std::set<std::uint64_t> response_ids;  // count retransmissions once
+  sc->medium().set_tx_observer([&](NodeId from, const sim::Frame& f) {
+    auto m = std::dynamic_pointer_cast<const net::Message>(f.payload);
+    if (from != NodeId(1) || m == nullptr || !m->is_response() ||
+        !response_ids.insert(m->response_id.value()).second) {
+      return;
+    }
+    std::vector<std::uint64_t>& keys = responses.emplace_back();
+    for (const DataDescriptor& d : m->metadata) keys.push_back(d.entry_key());
+  });
+
+  const SimTime now = SimTime::seconds(10);
+  sc->run_until(now);
+  PdsNode& relay = sc->node(NodeId(1));
+  DataStore& store = relay.store();
+  // Cached-only copy that expired at t = 1 s.
+  store.insert_metadata(entry(0), false, SimTime::zero(), SimTime::seconds(1));
+  // Cached-only copy heard 1 s ago: inside the cooldown.
+  store.insert_metadata(entry(1), false, now - SimTime::seconds(1),
+                        pds.metadata_ttl);
+  // Publisher copy published in the same window: never suppressed.
+  store.insert_metadata(entry(2), true, now - SimTime::seconds(1),
+                        SimTime::zero());
+  // Held by the consumer according to the query's Bloom filter.
+  store.insert_metadata(entry(3), true, SimTime::zero(), SimTime::zero());
+  // Survivors: cached-only copies heard before the window.
+  for (int seq = 4; seq < 10; ++seq) {
+    store.insert_metadata(entry(seq), false, SimTime::zero(),
+                          pds.metadata_ttl);
+  }
+
+  auto query = std::make_shared<net::Message>();
+  query->type = net::MessageType::kQuery;
+  query->kind = net::ContentKind::kMetadata;
+  query->query_id = QueryId(77);
+  query->sender = NodeId(0);
+  query->receivers = {NodeId(0)};  // not addressed to the relay: no forward
+  query->expire_at = now + SimTime::seconds(30);
+  query->exclude = util::BloomFilter(4096, 4, 1);
+  query->exclude.insert(entry(3).entry_key());
+
+  std::vector<std::uint64_t> expected;
+  for (const DataDescriptor& d : store.match_metadata(Filter{}, now)) {
+    const std::uint64_t key = d.entry_key();
+    if (key == entry(1).entry_key() || key == entry(3).entry_key()) continue;
+    ASSERT_FALSE(query->exclude.maybe_contains(key));
+    expected.push_back(key);
+  }
+  ASSERT_EQ(expected.size(), 7u);  // the publisher copy and six survivors
+
+  PddEngine engine(relay.context());
+  engine.handle_query(query);
+  sc->run_until(now + SimTime::seconds(2));
+
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].size(), 3u);
+  EXPECT_EQ(responses[1].size(), 3u);
+  EXPECT_EQ(responses[2].size(), 1u);
+  std::vector<std::uint64_t> served;
+  for (const auto& keys : responses) {
+    served.insert(served.end(), keys.begin(), keys.end());
+  }
+  EXPECT_EQ(served, expected);
+
+  LingeringQuery* lq = relay.lqt().find(query->query_id);
+  ASSERT_NE(lq, nullptr);
+  EXPECT_EQ(lq->served_keys.size(), expected.size());
+  // Re-publishing a served entry or the Bloom-held one pushes nothing; an
+  // entry the query has not seen is pushed at once.
+  responses.clear();
+  engine.serve_new_publication(entry(4));
+  engine.serve_new_publication(entry(3));
+  engine.serve_new_publication(entry(10));
+  sc->run_until(now + SimTime::seconds(4));
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0], std::vector<std::uint64_t>{entry(10).entry_key()});
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // semantics and expiration), LingeringQueryTable, CdiTable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <vector>
@@ -99,7 +100,8 @@ TEST(DataStore, SweepRemovesExpired) {
 // expired and scans otherwise; either way it must equal a full recount, at
 // any t and in any order of t. Probes around the latest expiries the test
 // scheduled: just before, at and just after each, plus the current time and
-// a later one.
+// a later one. At each probe the visitor must yield only live records, each
+// under its own entry key, and in the order match_metadata lists them.
 void expect_count_matches_recount(const DataStore& store, SimTime now,
                                   const std::vector<SimTime>& expiries,
                                   int step) {
@@ -112,7 +114,19 @@ void expect_count_matches_recount(const DataStore& store, SimTime now,
     probes.push_back(at - SimTime::micros(1));
   }
   for (const SimTime t : probes) {
-    ASSERT_EQ(store.metadata_count(t), store.match_metadata(Filter{}, t).size())
+    const std::vector<DataDescriptor> matched =
+        store.match_metadata(Filter{}, t);
+    ASSERT_EQ(store.metadata_count(t), matched.size())
+        << "step " << step << ", t=" << t.as_micros() << "us";
+    std::vector<DataDescriptor> visited;
+    store.visit_metadata(
+        t, [&](std::uint64_t key, const DataStore::MetaRecord& rec) {
+          EXPECT_FALSE(rec.expired(t));
+          EXPECT_TRUE(store.has_metadata(key, t));
+          EXPECT_EQ(key, rec.descriptor.entry_key());
+          visited.push_back(rec.descriptor);
+        });
+    ASSERT_EQ(visited, matched)
         << "step " << step << ", t=" << t.as_micros() << "us";
   }
 }
@@ -228,7 +242,15 @@ TEST(DataStore, ItemsMatchedByFilter) {
   }
   Filter f;
   f.where_range("seq", std::int64_t{1}, std::int64_t{3});
-  EXPECT_EQ(store.match_items(f, SimTime::zero()).size(), 3u);
+  std::vector<std::uint64_t> matched_hashes;
+  store.visit_items([&](std::uint64_t key, const net::ItemPayload& item) {
+    EXPECT_EQ(key, item.descriptor.entry_key());
+    if (f.matches(item.descriptor)) {
+      matched_hashes.push_back(item.content_hash);
+    }
+  });
+  std::sort(matched_hashes.begin(), matched_hashes.end());
+  EXPECT_EQ(matched_hashes, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_TRUE(store.has_item(entry(0).entry_key()));
   EXPECT_EQ(store.item_count(), 5u);
 }
