@@ -38,6 +38,8 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] std::span<const std::byte> bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::byte> take() { return std::move(buf_); }
+  // Empties the buffer but keeps its capacity, for a reused scratch writer.
+  void clear() { buf_.clear(); }
 
  private:
   std::vector<std::byte> buf_;

@@ -8,10 +8,9 @@ namespace pds::core {
 
 bool DataStore::insert_metadata(const DataDescriptor& d, bool has_payload,
                                 SimTime now, SimTime ttl) {
-  const std::uint64_t key = d.entry_key();
-  auto it = metadata_.find(key);
-  if (it == metadata_.end()) {
-    MetaRecord rec;
+  auto [it, inserted] = metadata_.try_emplace(d.entry_key());
+  MetaRecord& rec = it->second;
+  if (inserted) {
     rec.descriptor = d;
     rec.has_payload = has_payload;
     rec.expire_at = has_payload ? SimTime::max() : now + ttl;
@@ -19,10 +18,8 @@ bool DataStore::insert_metadata(const DataDescriptor& d, bool has_payload,
       rec.cached_at = now;
       earliest_expiry_ = std::min(earliest_expiry_, rec.expire_at);
     }
-    metadata_.emplace(key, std::move(rec));
     return true;
   }
-  MetaRecord& rec = it->second;
   const bool was_expired = rec.expired(now);
   if (has_payload) {
     rec.has_payload = true;

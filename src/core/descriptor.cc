@@ -7,24 +7,79 @@
 
 namespace pds::core {
 
+namespace {
+
+std::uint64_t hash_encoding(const std::vector<Attribute>& attrs,
+                            std::size_t count, bool skip_chunk_id) {
+  // Every set() rekeys, so a descriptor built attribute by attribute
+  // encodes once per attribute; one scratch buffer per thread keeps that
+  // from regrowing a fresh buffer each time.
+  thread_local ByteWriter w;
+  w.clear();
+  w.put_u16(static_cast<std::uint16_t>(count));
+  for (const Attribute& a : attrs) {
+    if (!(skip_chunk_id && a.name == kAttrChunkId)) encode_attribute(w, a);
+  }
+  return fnv1a64(w.bytes());
+}
+
+}  // namespace
+
+void DataDescriptor::Rep::rekey() {
+  entry_key = hash_encoding(attrs, attrs.size(), false);
+  // item_id() is the key of item_descriptor(): the same encoding without
+  // the chunk_id attribute, which only chunk descriptors carry.
+  const bool chunk = std::any_of(attrs.begin(), attrs.end(),
+                                 [](const Attribute& a) {
+                                   return a.name == kAttrChunkId;
+                                 });
+  item_id = ItemId(chunk ? hash_encoding(attrs, attrs.size() - 1, true)
+                         : entry_key);
+}
+
+const DataDescriptor::Rep& DataDescriptor::empty_rep() {
+  static const Rep empty = [] {
+    Rep r;
+    r.rekey();
+    return r;
+  }();
+  return empty;
+}
+
+DataDescriptor DataDescriptor::from_attributes(std::vector<Attribute> attrs) {
+  DataDescriptor d;
+  d.rep_ = std::make_shared<Rep>();
+  d.rep_->attrs = std::move(attrs);
+  d.rep_->rekey();
+  return d;
+}
+
 DataDescriptor& DataDescriptor::set(std::string_view name, AttrValue value) {
-  key_cache_.reset();
+  // Copy-on-write: a representation another handle shares is never written.
+  if (!rep_) {
+    rep_ = std::make_shared<Rep>();
+  } else if (rep_.use_count() > 1) {
+    rep_ = std::make_shared<Rep>(*rep_);
+  }
+  std::vector<Attribute>& attrs = rep_->attrs;
   auto it = std::lower_bound(
-      attrs_.begin(), attrs_.end(), name,
+      attrs.begin(), attrs.end(), name,
       [](const Attribute& a, std::string_view n) { return a.name < n; });
-  if (it != attrs_.end() && it->name == name) {
+  if (it != attrs.end() && it->name == name) {
     it->value = std::move(value);
   } else {
-    attrs_.insert(it, Attribute{std::string(name), std::move(value)});
+    attrs.insert(it, Attribute{std::string(name), std::move(value)});
   }
+  rep_->rekey();
   return *this;
 }
 
 const AttrValue* DataDescriptor::find(std::string_view name) const {
+  const std::vector<Attribute>& attrs = attributes();
   auto it = std::lower_bound(
-      attrs_.begin(), attrs_.end(), name,
+      attrs.begin(), attrs.end(), name,
       [](const Attribute& a, std::string_view n) { return a.name < n; });
-  if (it != attrs_.end() && it->name == name) return &it->value;
+  if (it != attrs.end() && it->name == name) return &it->value;
   return nullptr;
 }
 
@@ -72,35 +127,20 @@ DataDescriptor DataDescriptor::chunk_descriptor(ChunkIndex index) const {
 }
 
 DataDescriptor DataDescriptor::item_descriptor() const {
-  DataDescriptor d;
-  for (const Attribute& a : attrs_) {
-    if (a.name != kAttrChunkId) d.attrs_.push_back(a);
+  std::vector<Attribute> attrs;
+  for (const Attribute& a : attributes()) {
+    if (a.name != kAttrChunkId) attrs.push_back(a);
   }
-  return d;
-}
-
-ItemId DataDescriptor::item_id() const {
-  ByteWriter w;
-  item_descriptor().encode(w);
-  return ItemId(fnv1a64(w.bytes()));
-}
-
-std::uint64_t DataDescriptor::entry_key() const {
-  if (!key_cache_.has_value()) {
-    ByteWriter w;
-    encode(w);
-    key_cache_ = fnv1a64(w.bytes());
-  }
-  return *key_cache_;
+  return from_attributes(std::move(attrs));
 }
 
 void DataDescriptor::encode(ByteWriter& w) const {
-  w.put_u16(static_cast<std::uint16_t>(attrs_.size()));
-  for (const Attribute& a : attrs_) encode_attribute(w, a);
+  const std::vector<Attribute>& attrs = attributes();
+  w.put_u16(static_cast<std::uint16_t>(attrs.size()));
+  for (const Attribute& a : attrs) encode_attribute(w, a);
 }
 
 DataDescriptor DataDescriptor::decode(ByteReader& r) {
-  DataDescriptor d;
   const std::uint16_t n = r.get_u16();
   // A serialized attribute is at least 5 bytes (u16 name length + value
   // tag + u16 string length), so a count the remaining buffer cannot hold
@@ -109,9 +149,10 @@ DataDescriptor DataDescriptor::decode(ByteReader& r) {
   if (std::size_t{n} * 5 > r.remaining()) {
     throw DecodeError("descriptor attribute count exceeds buffer");
   }
-  d.attrs_.reserve(n);
+  std::vector<Attribute> attrs;
+  attrs.reserve(n);
   for (std::uint16_t i = 0; i < n; ++i) {
-    d.attrs_.push_back(decode_attribute(r));
+    attrs.push_back(decode_attribute(r));
   }
   // The wire is produced by encode() and is therefore strictly sorted
   // (set() keeps names unique); a malformed message must not break that
@@ -120,12 +161,12 @@ DataDescriptor DataDescriptor::decode(ByteReader& r) {
   // so the same descriptor would round-trip on one wire form and not the
   // other.
   const bool canonical =
-      std::adjacent_find(d.attrs_.begin(), d.attrs_.end(),
+      std::adjacent_find(attrs.begin(), attrs.end(),
                          [](const Attribute& a, const Attribute& b) {
                            return !(a.name < b.name);
-                         }) == d.attrs_.end();
+                         }) == attrs.end();
   if (!canonical) throw DecodeError("descriptor attributes not canonical");
-  return d;
+  return from_attributes(std::move(attrs));
 }
 
 std::vector<std::byte> DataDescriptor::canonical_bytes() const {

@@ -9,9 +9,19 @@
 //                  all chunks of one large item share it;
 //  * entry_key() — hash *including* chunk_id: the key used in Bloom filters
 //                  and redundancy detection, unique per metadata entry.
+//
+// A descriptor is immutable once published, so a DataDescriptor is a handle
+// to one shared representation (the sorted attributes plus both hashes,
+// computed when the representation is built or changed). Copying a handle
+// bumps a reference count; a store record, a payload or a message holding
+// a copy of a published descriptor costs no attribute storage of its own.
+// set() is copy-on-write: it clones the representation only when another
+// handle shares it, so no handle ever observes another's change and a
+// shared representation is never written (copies may cross threads).
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -47,7 +57,7 @@ class DataDescriptor {
 
   [[nodiscard]] const AttrValue* find(std::string_view name) const;
   [[nodiscard]] const std::vector<Attribute>& attributes() const {
-    return attrs_;
+    return rep().attrs;
   }
 
   // Convenience accessors for well-known attributes.
@@ -63,8 +73,8 @@ class DataDescriptor {
   // This descriptor with the chunk_id attribute removed.
   [[nodiscard]] DataDescriptor item_descriptor() const;
 
-  [[nodiscard]] ItemId item_id() const;
-  [[nodiscard]] std::uint64_t entry_key() const;
+  [[nodiscard]] ItemId item_id() const { return rep().item_id; }
+  [[nodiscard]] std::uint64_t entry_key() const { return rep().entry_key; }
 
   void encode(ByteWriter& w) const;
   [[nodiscard]] static DataDescriptor decode(ByteReader& r);
@@ -75,15 +85,30 @@ class DataDescriptor {
   [[nodiscard]] std::size_t encoded_size() const;
 
   friend bool operator==(const DataDescriptor& a, const DataDescriptor& b) {
-    return a.attrs_ == b.attrs_;
+    return a.rep_ == b.rep_ || a.attributes() == b.attributes();
   }
 
  private:
-  // Sorted by attribute name; unique names.
-  std::vector<Attribute> attrs_;
-  // entry_key() is on several hot paths (store matching, Bloom pruning); the
-  // canonical-encoding hash is memoized and invalidated by set().
-  mutable std::optional<std::uint64_t> key_cache_;
+  struct Rep {
+    // Sorted by attribute name; unique names.
+    std::vector<Attribute> attrs;
+    // Hashes of the canonical encoding with and without chunk_id; both are
+    // on hot paths (store matching, Bloom pruning, lingering-query lookup).
+    std::uint64_t entry_key = 0;
+    ItemId item_id;
+
+    // Recomputes both hashes from `attrs`; called whenever they change,
+    // before the representation can be shared.
+    void rekey();
+  };
+
+  // The representation of the empty descriptor; a default-constructed
+  // handle holds no representation and reads this one.
+  static const Rep& empty_rep();
+  [[nodiscard]] const Rep& rep() const { return rep_ ? *rep_ : empty_rep(); }
+  static DataDescriptor from_attributes(std::vector<Attribute> attrs);
+
+  std::shared_ptr<Rep> rep_;
 };
 
 }  // namespace pds::core

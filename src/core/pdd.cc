@@ -24,9 +24,12 @@ bool is_pdd_kind(net::ContentKind kind) {
 // Is the entry with this key still wanted by the lingering query? (not yet
 // served through this node, not already held by the consumer per the
 // query's Bloom filter). Callers test it before the filter: once en-route
-// rewriting has run, most entries a relay holds fail here.
+// rewriting has run, most entries a relay holds fail here. A query that has
+// just been installed has served nothing yet, so its empty set is skipped
+// without a hash lookup.
 bool still_wanted(const LingeringQuery& lq, std::uint64_t key) {
-  return !lq.served_keys.contains(key) && !lq.exclude.maybe_contains(key);
+  return (lq.served_keys.empty() || !lq.served_keys.contains(key)) &&
+         !lq.exclude.maybe_contains(key);
 }
 
 // ... and does the entry also match the query's filter?

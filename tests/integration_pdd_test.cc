@@ -3,7 +3,11 @@
 // paper reports in §VI-B.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "workload/experiment.h"
+#include "workload/generator.h"
+#include "workload/scenario.h"
 
 namespace pds::wl {
 namespace {
@@ -27,6 +31,57 @@ TEST(IntegrationPdd, SingleConsumerSmallGridFullRecall) {
   EXPECT_GT(out.latency_s, 0.0);
   EXPECT_LT(out.latency_s, 30.0);
   EXPECT_GT(out.overhead_mb, 0.0);
+}
+
+// Every copy a run makes of a published descriptor (store records,
+// responses, relay and overhear caches) is a handle to the publisher's
+// representation: a deep copy anywhere on the path fails here instead of
+// showing up only as memory. Set-up as OutcomeGolden.PddGridMetadata: two
+// sequential consumers on a 5x5 grid with the serve cooldown on.
+TEST(IntegrationPdd, CachedRecordsSharePublishedDescriptors) {
+  GridSetup setup;
+  setup.nx = setup.ny = 5;
+  setup.pds.entry_serve_cooldown = SimTime::seconds(3.0);
+  Grid grid = make_grid(setup, 7);
+  Scenario& sc = *grid.scenario;
+  Rng rng(7);
+  const std::vector<core::DataDescriptor> catalogue =
+      make_sample_descriptors(400, SampleSpace{}, rng);
+  const std::vector<NodeId> consumers = {grid.ids.front(), grid.ids.back()};
+  std::vector<core::PdsNode*> nodes = sc.nodes();
+  distribute_metadata(nodes, catalogue, 1, rng, consumers);
+  std::unordered_map<std::uint64_t, const core::DataDescriptor*> published;
+  for (const core::DataDescriptor& d : catalogue) {
+    published.emplace(d.entry_key(), &d);
+  }
+
+  int finished = 0;
+  sc.node(consumers[0])
+      .discover(core::Filter{}, [&](const core::DiscoverySession::Result&) {
+        ++finished;
+        sc.node(consumers[1])
+            .discover(core::Filter{},
+                      [&](const core::DiscoverySession::Result&) {
+                        ++finished;
+                      });
+      });
+  sc.run_until(SimTime::seconds(120));
+  ASSERT_EQ(finished, 2);
+
+  std::size_t records = 0;
+  for (const core::PdsNode* n : sc.nodes()) {
+    n->store().visit_metadata(
+        SimTime::zero(),
+        [&](std::uint64_t key, const core::DataStore::MetaRecord& rec) {
+          ++records;
+          const auto it = published.find(key);
+          ASSERT_NE(it, published.end());
+          EXPECT_EQ(&rec.descriptor.attributes(), &it->second->attributes())
+              << "node " << n->id() << " holds a deep copy of entry " << key;
+        });
+  }
+  // Relays and overhearers cached copies beyond the 400 published records.
+  EXPECT_GT(records, 2 * catalogue.size());
 }
 
 TEST(IntegrationPdd, SingleRoundWithoutAckLosesEntries) {

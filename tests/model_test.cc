@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/bytes.h"
+#include "common/hash.h"
 #include "core/attribute.h"
 #include "core/descriptor.h"
 #include "core/predicate.h"
@@ -142,6 +143,81 @@ TEST(DataDescriptor, KeyCacheInvalidatedBySet) {
   const std::uint64_t k1 = d.entry_key();
   d.set("x", 99.0);
   EXPECT_NE(d.entry_key(), k1);
+}
+
+// -- Shared representation ----------------------------------------------------
+
+static_assert(sizeof(DataDescriptor) <= 16,
+              "a descriptor is a handle to a shared representation");
+
+TEST(DataDescriptor, CopySharesRepresentation) {
+  const DataDescriptor d = sample_descriptor();
+  const DataDescriptor copy = d;
+  EXPECT_EQ(&copy.attributes(), &d.attributes());
+  EXPECT_EQ(copy.entry_key(), d.entry_key());
+  EXPECT_EQ(copy.item_id(), d.item_id());
+}
+
+TEST(DataDescriptor, SetOnCopyLeavesOriginalUnchanged) {
+  const DataDescriptor d = sample_descriptor();
+  const std::vector<Attribute> attrs = d.attributes();
+  const std::uint64_t key = d.entry_key();
+  const ItemId item = d.item_id();
+
+  DataDescriptor copy = d;
+  copy.set("x", 99.0);
+  EXPECT_NE(&copy.attributes(), &d.attributes());
+  EXPECT_EQ(d.attributes(), attrs);
+  EXPECT_EQ(d.entry_key(), key);
+  EXPECT_EQ(d.item_id(), item);
+  EXPECT_NE(copy.entry_key(), key);
+  EXPECT_NE(copy.item_id(), item);
+
+  // chunk_descriptor() is a copy plus set(): the item is untouched.
+  const DataDescriptor chunk = d.chunk_descriptor(2);
+  EXPECT_EQ(d.attributes(), attrs);
+  EXPECT_EQ(d.entry_key(), key);
+  EXPECT_EQ(chunk.item_id(), item);
+}
+
+TEST(DataDescriptor, SharedAndUnsharedHandlesCompareEqual) {
+  const DataDescriptor a = sample_descriptor();
+  const DataDescriptor b = sample_descriptor();  // equal, built separately
+  const DataDescriptor a2 = a;                   // shares a's representation
+  ASSERT_NE(&a.attributes(), &b.attributes());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, a2);
+  EXPECT_EQ(a2, b);
+  EXPECT_EQ(DataDescriptor{}, DataDescriptor{});
+  EXPECT_FALSE(a == DataDescriptor{});
+}
+
+TEST(DataDescriptor, DecodeNeverShares) {
+  const DataDescriptor d = sample_descriptor();
+  for (const DataDescriptor& src : {d, d.chunk_descriptor(1),
+                                    DataDescriptor{}}) {
+    ByteWriter w;
+    src.encode(w);
+    ByteReader r(w.bytes());
+    const DataDescriptor decoded = DataDescriptor::decode(r);
+    EXPECT_NE(&decoded.attributes(), &src.attributes());
+    EXPECT_EQ(decoded, src);
+    EXPECT_EQ(decoded.entry_key(), src.entry_key());
+    EXPECT_EQ(decoded.item_id(), src.item_id());
+  }
+}
+
+TEST(DataDescriptor, ItemIdIsHashOfItemDescriptorEncoding) {
+  DataDescriptor item = sample_descriptor();
+  item.set(kAttrTotalChunks, std::int64_t{4});
+  for (const DataDescriptor& d :
+       {item, item.chunk_descriptor(0), item.chunk_descriptor(3),
+        DataDescriptor{}}) {
+    ByteWriter w;
+    d.item_descriptor().encode(w);
+    EXPECT_EQ(d.item_id(), ItemId(fnv1a64(w.bytes())));
+    EXPECT_EQ(d.entry_key(), fnv1a64(d.canonical_bytes()));
+  }
 }
 
 TEST(DataDescriptor, DistinctDescriptorsDistinctKeys) {

@@ -29,10 +29,11 @@ inline constexpr const char* kBenchReportSchema = "pds-bench-report/1";
 inline constexpr const char* kCausalReportSchema = "pds-causal-report/1";
 inline constexpr const char* kStatsReportSchema = "pds-stats-report/1";
 
-// Peak-RSS ceiling for the 50k-node scale run (ROADMAP's 0.8 GB target plus
-// allocator/measurement headroom), enforced by the `rss-peak-50k-budget`
-// gate on tab_scale's "stats" section.
-inline constexpr double kRssPeak50kBudgetMb = 850.0;
+// Peak-RSS ceiling for the 50k-node scale run, enforced by the
+// `rss-peak-50k-budget` gate on tab_scale's "stats" section. Lowered to keep
+// each memory gain: the full sweep peaks at 667.6 MB with shared descriptor
+// representations (839.4 MB before them), 88% of this ceiling.
+inline constexpr double kRssPeak50kBudgetMb = 760.0;
 
 struct ReportMetric {
   std::size_t count = 0;
