@@ -156,6 +156,28 @@ void BM_CodecWireSize(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecWireSize);
 
+// A first-hop discovery query carrying a classic exclude Bloom of pdd_dense
+// size (its 2,000-entry catalogue at the default 1% false-positive rate):
+// the frame shape whose charge comes from running the encoder over the
+// filter. BM_CodecWireSize above is the flat-charged response case.
+void BM_CodecWireSizeQuery(benchmark::State& state) {
+  Rng rng(7);
+  net::Message m;
+  m.type = net::MessageType::kQuery;
+  m.kind = net::ContentKind::kMetadata;
+  m.query_id = QueryId(1);
+  m.sender = NodeId(1);
+  m.ttl = 4;
+  m.filter.where("type", core::Relation::kEq, std::string("camera"));
+  m.exclude = util::BloomFilter::with_capacity(2000, 0.01, rng.next_u64());
+  for (int i = 0; i < 2000; ++i) m.exclude.insert(rng.next_u64());
+  const net::Codec codec;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec.wire_size(m));
+  }
+}
+BENCHMARK(BM_CodecWireSizeQuery);
+
 // -- v2 wire extensions (DESIGN.md §16) --------------------------------------
 
 void BM_CodecEncodeResponseCompressed(benchmark::State& state) {

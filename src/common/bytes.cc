@@ -8,22 +8,23 @@ namespace pds {
 
 namespace {
 
-template <typename T>
-void append_le(std::vector<std::byte>& buf, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+// Encoded length of `v` as a varint (1–10 bytes).
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
   }
+  return n;
 }
 
 }  // namespace
 
-void ByteWriter::put_u16(std::uint16_t v) { append_le(buf_, v); }
-void ByteWriter::put_u32(std::uint32_t v) { append_le(buf_, v); }
-void ByteWriter::put_u64(std::uint64_t v) { append_le(buf_, v); }
-
-void ByteWriter::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
-
 void ByteWriter::put_varint(std::uint64_t v) {
+  if (counting_) {
+    count_ += varint_size(v);
+    return;
+  }
   while (v >= 0x80) {
     buf_.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
     v >>= 7;
@@ -41,12 +42,11 @@ void ByteWriter::put_string(std::string_view s) {
     throw DecodeError("string too long to encode");
   }
   put_u16(static_cast<std::uint16_t>(s.size()));
-  for (char c : s) buf_.push_back(static_cast<std::byte>(c));
-}
-
-void ByteWriter::put_bytes(std::span<const std::byte> bytes) {
-  put_u32(static_cast<std::uint32_t>(bytes.size()));
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  if (counting_) {
+    count_ += s.size();
+  } else {
+    for (char c : s) buf_.push_back(static_cast<std::byte>(c));
+  }
 }
 
 std::uint8_t ByteReader::get_u8() {
@@ -120,16 +120,6 @@ std::string ByteReader::get_string() {
   std::memcpy(s.data(), data_.data() + pos_, n);
   pos_ += n;
   return s;
-}
-
-std::vector<std::byte> ByteReader::get_bytes() {
-  const std::uint32_t n = get_u32();
-  require(n);
-  std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                             data_.begin() +
-                                 static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
 }
 
 }  // namespace pds

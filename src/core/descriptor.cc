@@ -175,10 +175,4 @@ std::vector<std::byte> DataDescriptor::canonical_bytes() const {
   return w.take();
 }
 
-std::size_t DataDescriptor::encoded_size() const {
-  ByteWriter w;
-  encode(w);
-  return w.size();
-}
-
 }  // namespace pds::core

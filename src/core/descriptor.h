@@ -80,10 +80,6 @@ class DataDescriptor {
   [[nodiscard]] static DataDescriptor decode(ByteReader& r);
   [[nodiscard]] std::vector<std::byte> canonical_bytes() const;
 
-  // Size of the canonical encoding; the wire codec may override this with
-  // the paper's parameterized 30-byte entry size.
-  [[nodiscard]] std::size_t encoded_size() const;
-
   friend bool operator==(const DataDescriptor& a, const DataDescriptor& b) {
     return a.rep_ == b.rep_ || a.attributes() == b.attributes();
   }

@@ -91,10 +91,4 @@ Filter Filter::decode(ByteReader& r) {
   return f;
 }
 
-std::size_t Filter::encoded_size() const {
-  ByteWriter w;
-  encode(w);
-  return w.size();
-}
-
 }  // namespace pds::core

@@ -53,7 +53,6 @@ class Filter {
 
   void encode(ByteWriter& w) const;
   [[nodiscard]] static Filter decode(ByteReader& r);
-  [[nodiscard]] std::size_t encoded_size() const;
 
   friend bool operator==(const Filter&, const Filter&) = default;
 

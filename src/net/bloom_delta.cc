@@ -100,19 +100,6 @@ BloomDeltaFrame BloomDeltaFrame::decode(ByteReader& r) {
   return f;
 }
 
-std::size_t BloomDeltaFrame::wire_size() const {
-  std::size_t size = 8 + varint_size(epoch) + varint_size(seq) + 1;
-  size += full ? (varint_size(bit_count) + 1 + 8) : 8;
-  size += 8;  // self_check
-  size += varint_size(blocks.size());
-  std::uint32_t prev = 0;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    size += varint_size(i == 0 ? blocks[i].index : blocks[i].index - prev) + 8;
-    prev = blocks[i].index;
-  }
-  return size;
-}
-
 BloomDeltaFrame DeltaBloomSender::next_frame(std::uint64_t session,
                                              std::uint32_t epoch,
                                              const util::BloomFilter& filter,

@@ -84,7 +84,6 @@ struct BloomDeltaFrame {
   // Throws DecodeError on any malformed input: unordered or zero blocks,
   // out-of-range parameters, truncation.
   static BloomDeltaFrame decode(ByteReader& r);
-  [[nodiscard]] std::size_t wire_size() const;
 
   friend bool operator==(const BloomDeltaFrame&,
                          const BloomDeltaFrame&) = default;

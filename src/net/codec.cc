@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <string>
 #include <utility>
@@ -16,9 +17,6 @@ namespace pds::net {
 
 namespace {
 
-// type + kind + sender(4) + query/response id(8) + expire(8) + ttl(1).
-constexpr std::size_t kCommonHeaderBytes = 1 + 1 + 4 + 8 + 8 + 1;
-
 // Decode-side caps for the reconciliation extensions: large enough for any
 // protocol-generated frame, small enough that hostile headers cannot force
 // huge allocations.
@@ -28,10 +26,6 @@ constexpr std::uint64_t kMaxCompressedEntries = 65535;
 constexpr std::uint64_t kMaxBitmapSpan = 1u << 22;
 constexpr std::uint64_t kMaxBitmapGroups = 65535;
 constexpr std::uint64_t kMaxStringBytes = 65535;
-
-std::size_t receiver_list_bytes(const Message& m) {
-  return 1 + 4 * m.receivers.size();
-}
 
 // Whether this message carries the trace-context wire extension under `cfg`
 // — only query/response frames (acks and repairs are hop-local control and
@@ -63,19 +57,34 @@ bool bitmap_span_fits(std::uint64_t lo, std::uint64_t hi) {
   return hi - lo + 1 <= kMaxBitmapSpan;
 }
 
-bool cdi_spans_fit(const std::vector<CdiEntry>& v) {
-  std::map<std::uint32_t, std::pair<ChunkIndex, ChunkIndex>> range;
-  for (const CdiEntry& e : v) {
-    auto [it, fresh] = range.try_emplace(e.hop_count, e.chunk, e.chunk);
-    if (!fresh) {
-      it->second.first = std::min(it->second.first, e.chunk);
-      it->second.second = std::max(it->second.second, e.chunk);
+// Calls fn(hop, chunks) once per CDI hop-count group, in increasing hop
+// order; `chunks` views the group's chunk ids in `cdi` order. It scans
+// instead of building a map, so sizing a frame allocates nothing.
+template <typename Fn>
+void for_each_hop_group(const std::vector<CdiEntry>& cdi, Fn&& fn) {
+  std::optional<std::uint32_t> prev;
+  while (true) {
+    std::optional<std::uint32_t> hop;
+    for (const CdiEntry& e : cdi) {
+      if ((!prev || e.hop_count > *prev) && (!hop || e.hop_count < *hop)) {
+        hop = e.hop_count;
+      }
     }
+    if (!hop) return;
+    fn(*hop, cdi | std::views::filter([h = *hop](const CdiEntry& e) {
+               return e.hop_count == h;
+             }) | std::views::transform(&CdiEntry::chunk));
+    prev = hop;
   }
-  for (const auto& [hop, lo_hi] : range) {
-    if (!bitmap_span_fits(lo_hi.first, lo_hi.second)) return false;
-  }
-  return true;
+}
+
+bool cdi_spans_fit(const std::vector<CdiEntry>& v) {
+  bool fit = true;
+  for_each_hop_group(v, [&fit](std::uint32_t, auto&& chunks) {
+    const auto [lo, hi] = std::ranges::minmax(chunks);
+    fit = fit && bitmap_span_fits(lo, hi);
+  });
+  return fit;
 }
 
 // Which reconciliation-extension bits this (config, message) pair emits.
@@ -108,25 +117,26 @@ std::uint8_t ext_bits(const WireConfig& cfg, const Message& m) {
 //
 // A run of strictly increasing chunk ids as base + span + bit array. The
 // encoding is canonical: base is the first id, the span's last bit is set,
-// and no bit lies past the span.
-
-void encode_chunk_bitmap(ByteWriter& w, std::span<const ChunkIndex> chunks) {
-  const ChunkIndex base = chunks.front();
-  const std::uint32_t span = chunks.back() - base + 1;
+// and no bit lies past the span. The bit array is written a byte at a time
+// as the ids stream past, so a counting writer sizes it without allocating.
+template <std::ranges::input_range Chunks>
+void encode_chunk_bitmap(ByteWriter& w, Chunks&& chunks) {
+  const ChunkIndex base = *std::ranges::begin(chunks);
+  ChunkIndex last = base;
+  for (ChunkIndex c : chunks) last = c;
   w.put_varint(base);
-  w.put_varint(span);
-  std::vector<std::uint8_t> bytes((span + 7) / 8, 0);
+  w.put_varint(last - base + 1);  // span
+  std::uint32_t byte_index = 0;
+  std::uint8_t byte = 0;
   for (ChunkIndex c : chunks) {
     const std::uint32_t bit = c - base;
-    bytes[bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
+    for (; byte_index < bit / 8; ++byte_index) {
+      w.put_u8(byte);
+      byte = 0;
+    }
+    byte |= static_cast<std::uint8_t>(1u << (bit % 8));
   }
-  for (std::uint8_t b : bytes) w.put_u8(b);
-}
-
-std::size_t chunk_bitmap_size(std::span<const ChunkIndex> chunks) {
-  const ChunkIndex base = chunks.front();
-  const std::uint32_t span = chunks.back() - base + 1;
-  return varint_size(base) + varint_size(span) + (span + 7) / 8;
+  w.put_u8(byte);  // holds the span's last bit
 }
 
 std::vector<ChunkIndex> decode_chunk_bitmap(ByteReader& r) {
@@ -160,23 +170,13 @@ std::vector<ChunkIndex> decode_chunk_bitmap(ByteReader& r) {
 // CDI entries as hop-count groups of chunk bitmaps, hop strictly increasing.
 
 void encode_cdi_bitmap(ByteWriter& w, const std::vector<CdiEntry>& cdi) {
-  std::map<std::uint32_t, std::vector<ChunkIndex>> groups;
-  for (const CdiEntry& e : cdi) groups[e.hop_count].push_back(e.chunk);
-  w.put_varint(groups.size());
-  for (const auto& [hop, chunks] : groups) {
+  std::size_t groups = 0;
+  for_each_hop_group(cdi, [&groups](std::uint32_t, auto&&) { ++groups; });
+  w.put_varint(groups);
+  for_each_hop_group(cdi, [&w](std::uint32_t hop, auto&& chunks) {
     w.put_varint(hop);
     encode_chunk_bitmap(w, chunks);
-  }
-}
-
-std::size_t cdi_bitmap_size(const std::vector<CdiEntry>& cdi) {
-  std::map<std::uint32_t, std::vector<ChunkIndex>> groups;
-  for (const CdiEntry& e : cdi) groups[e.hop_count].push_back(e.chunk);
-  std::size_t size = varint_size(groups.size());
-  for (const auto& [hop, chunks] : groups) {
-    size += varint_size(hop) + chunk_bitmap_size(chunks);
-  }
-  return size;
+  });
 }
 
 std::vector<CdiEntry> decode_cdi_bitmap(ByteReader& r) {
@@ -351,87 +351,70 @@ class EntryDecompressor {
   std::vector<std::string> prev_;
 };
 
-}  // namespace
+// -- Modelling overrides ------------------------------------------------------
+//
+// wire_size runs write() into a counting ByteWriter, so a frame's charge is
+// the length of its encoding except at two fields, where the simulator
+// charges what the paper models rather than what the codec writes:
+//
+//  * Synthetic payload. Chunk and item content is simulated; the frame
+//    carries an 8-byte content hash in its place but is charged the
+//    payload's size_bytes.
+//  * Flat entry charge (paper §VI-A). With metadata_entry_bytes > 0, the
+//    metadata and item sections are charged the classic layout with every
+//    descriptor at metadata_entry_bytes, whatever the encoding: u16 count +
+//    metadata_entry_bytes per metadata entry, and u16 count +
+//    (metadata_entry_bytes + 4 + size_bytes) per item. The entries are not
+//    encoded at all. This charge wins over compress_entries; measuring what
+//    compression buys takes metadata_entry_bytes = 0 (bench/tab_wire).
 
-std::size_t Codec::entry_wire_size(const core::DataDescriptor& d) const {
-  if (cfg_.metadata_entry_bytes > 0) return cfg_.metadata_entry_bytes;
-  return d.encoded_size();
+void put_payload(ByteWriter& w, std::uint32_t size_bytes,
+                 std::uint64_t content_hash) {
+  if (w.counting()) {
+    w.count(size_bytes);
+  } else {
+    w.put_u64(content_hash);
+  }
 }
 
-std::size_t Codec::wire_size(const Message& m) const {
-  if (m.is_ack()) {
-    // type + count(2) + tokens(8 each) + acker(4).
-    return 1 + 2 + 8 * m.ack_tokens.size() + 4;
-  }
-  if (m.is_repair()) {
-    // type + token(8) + requester(4) + count(2) + indices(4 each).
-    return 1 + 8 + 4 + 2 + 4 * m.requested_chunks.size();
-  }
-  const std::uint8_t ext = ext_bits(cfg_, m);
-  std::size_t size = kCommonHeaderBytes + receiver_list_bytes(m);
-  if (ext != 0) size += 1;  // extension bitmap byte
-  if (m.target.has_value()) size += m.target->encoded_size();
-  size += 1;  // target-present flag
-  if (m.is_query()) {
-    size += m.filter.encoded_size();
-    if ((ext & kExtDeltaBloom) != 0) {
-      size += m.exclude_delta->wire_size();
-    } else {
-      size += m.exclude.wire_size();
-    }
-    if ((ext & kExtChunkBitmap) != 0) {
-      size += chunk_bitmap_size(m.requested_chunks);
-    } else {
-      size += 2 + 4 * m.requested_chunks.size();
-    }
+bool flat_entry_charge(const WireConfig& cfg, const ByteWriter& w) {
+  return w.counting() && cfg.metadata_entry_bytes > 0;
+}
+
+void put_entry(const WireConfig& cfg, ByteWriter& w,
+               const core::DataDescriptor& d) {
+  if (flat_entry_charge(cfg, w)) {
+    w.count(cfg.metadata_entry_bytes);
   } else {
-    // The paper's flat per-entry charge (metadata_entry_bytes > 0) wins
-    // over entry compression: honest compression measurements set it to 0.
-    const bool compressed_sizing =
-        (ext & kExtCompressedEntries) != 0 && cfg_.metadata_entry_bytes == 0;
-    if (compressed_sizing) {
-      EntryCompressor enc(m);
-      ByteWriter scratch;
-      enc.encode_dict(scratch);
-      scratch.put_varint(m.metadata.size());
-      for (const core::DataDescriptor& d : m.metadata) {
-        enc.encode_entry(scratch, d);
-      }
-      scratch.put_varint(m.items.size());
-      for (const ItemPayload& item : m.items) {
-        enc.encode_entry(scratch, item.descriptor);
-        // Length field + simulated payload (the content hash stands in for
-        // the payload on the wire and is not charged, as in the classic
-        // item encoding).
-        size += varint_size(item.size_bytes) + item.size_bytes;
-      }
-      size += scratch.size();
-    } else {
-      size += 2;  // metadata count
-      for (const core::DataDescriptor& d : m.metadata) {
-        size += entry_wire_size(d);
-      }
-      size += 2;  // item count
-      for (const ItemPayload& item : m.items) {
-        size += entry_wire_size(item.descriptor) + 4 + item.size_bytes;
-      }
-    }
-    if ((ext & kExtChunkBitmap) != 0) {
-      size += cdi_bitmap_size(m.cdi);
-    } else {
-      size += 2 + 8 * m.cdi.size();
-    }
-    size += 1;  // chunk-present flag
-    if (m.chunk.has_value()) {
-      size += 4 + 4 + m.chunk->size_bytes;  // index + length + payload
-    }
+    d.encode(w);
   }
-  if (carries_trace(cfg_, m)) size += kTraceContextBytes;
-  return size;
+}
+
+// put_entry over a whole metadata section, the flat charge in one step.
+void put_entries(const WireConfig& cfg, ByteWriter& w,
+                 const std::vector<core::DataDescriptor>& ds) {
+  if (flat_entry_charge(cfg, w)) {
+    w.count(cfg.metadata_entry_bytes * ds.size());
+  } else {
+    for (const core::DataDescriptor& d : ds) d.encode(w);
+  }
+}
+
+}  // namespace
+
+std::size_t Codec::wire_size(const Message& m) const {
+  ByteWriter w = ByteWriter::counter();
+  write(m, w);
+  return w.size();
 }
 
 std::vector<std::byte> Codec::encode(const Message& m) const {
   ByteWriter w;
+  write(m, w);
+  return w.take();
+}
+
+void Codec::write(const Message& m, ByteWriter& w) const {
   const bool with_trace = carries_trace(cfg_, m);
   const std::uint8_t ext =
       (m.is_ack() || m.is_repair()) ? 0 : ext_bits(cfg_, m);
@@ -440,16 +423,16 @@ std::vector<std::byte> Codec::encode(const Message& m) const {
            (ext != 0 ? kWireExtFlag : 0));
   if (m.is_ack()) {
     w.put_u16(static_cast<std::uint16_t>(m.ack_tokens.size()));
-    for (std::uint64_t token : m.ack_tokens) w.put_u64(token);
+    w.put_u64s(m.ack_tokens);
     w.put_u32(m.acker.value());
-    return w.take();
+    return;
   }
   if (m.is_repair()) {
     w.put_u64(m.ack_tokens.empty() ? 0 : m.ack_tokens.front());
     w.put_u32(m.acker.value());
     w.put_u16(static_cast<std::uint16_t>(m.requested_chunks.size()));
-    for (ChunkIndex c : m.requested_chunks) w.put_u32(c);
-    return w.take();
+    w.put_u32s(m.requested_chunks);
+    return;
   }
   if (ext != 0) w.put_u8(ext);
   w.put_u8(static_cast<std::uint8_t>(m.kind));
@@ -466,19 +449,19 @@ std::vector<std::byte> Codec::encode(const Message& m) const {
     if ((ext & kExtDeltaBloom) != 0) {
       m.exclude_delta->encode(w);
     } else {
-      std::vector<std::byte> bloom_bytes;
-      m.exclude.encode(bloom_bytes);
-      w.put_bytes(bloom_bytes);
+      m.exclude.encode(w);
     }
     if ((ext & kExtChunkBitmap) != 0) {
       encode_chunk_bitmap(w, m.requested_chunks);
     } else {
       w.put_u16(static_cast<std::uint16_t>(m.requested_chunks.size()));
-      for (ChunkIndex c : m.requested_chunks) w.put_u32(c);
+      w.put_u32s(m.requested_chunks);
     }
   } else {
+    const bool compressed = (ext & kExtCompressedEntries) != 0 &&
+                            !flat_entry_charge(cfg_, w);
     std::optional<EntryCompressor> enc;
-    if ((ext & kExtCompressedEntries) != 0) {
+    if (compressed) {
       enc.emplace(m);
       enc->encode_dict(w);
       w.put_varint(m.metadata.size());
@@ -487,7 +470,7 @@ std::vector<std::byte> Codec::encode(const Message& m) const {
       }
     } else {
       w.put_u16(static_cast<std::uint16_t>(m.metadata.size()));
-      for (const core::DataDescriptor& d : m.metadata) d.encode(w);
+      put_entries(cfg_, w, m.metadata);
     }
     if ((ext & kExtChunkBitmap) != 0) {
       encode_cdi_bitmap(w, m.cdi);
@@ -502,21 +485,21 @@ std::vector<std::byte> Codec::encode(const Message& m) const {
     if (m.chunk.has_value()) {
       w.put_u32(m.chunk->index);
       w.put_u32(m.chunk->size_bytes);
-      w.put_u64(m.chunk->content_hash);
+      put_payload(w, m.chunk->size_bytes, m.chunk->content_hash);
     }
-    if ((ext & kExtCompressedEntries) != 0) {
+    if (compressed) {
       w.put_varint(m.items.size());
       for (const ItemPayload& item : m.items) {
         enc->encode_entry(w, item.descriptor);
         w.put_varint(item.size_bytes);
-        w.put_u64(item.content_hash);
+        put_payload(w, item.size_bytes, item.content_hash);
       }
     } else {
       w.put_u16(static_cast<std::uint16_t>(m.items.size()));
       for (const ItemPayload& item : m.items) {
-        item.descriptor.encode(w);
+        put_entry(cfg_, w, item.descriptor);
         w.put_u32(item.size_bytes);
-        w.put_u64(item.content_hash);
+        put_payload(w, item.size_bytes, item.content_hash);
       }
     }
   }
@@ -526,7 +509,6 @@ std::vector<std::byte> Codec::encode(const Message& m) const {
     w.put_u32(m.trace.origin);
     w.put_u8(m.trace.hop);
   }
-  return w.take();
 }
 
 Message Codec::decode(std::span<const std::byte> bytes) const {
@@ -614,8 +596,7 @@ Message Codec::decode(std::span<const std::byte> bytes) const {
     if ((ext & kExtDeltaBloom) != 0) {
       m.exclude_delta = BloomDeltaFrame::decode(r);
     } else {
-      const std::vector<std::byte> bloom_bytes = r.get_bytes();
-      m.exclude = util::BloomFilter::decode(bloom_bytes);
+      m.exclude = util::BloomFilter::decode(r);
     }
     if ((ext & kExtChunkBitmap) != 0) {
       m.requested_chunks = decode_chunk_bitmap(r);

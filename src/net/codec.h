@@ -2,16 +2,20 @@
 //
 // The simulator charges every transmission its wire size, which makes the
 // paper's "message overhead" metric (total bytes of all messages) concrete.
-// Following the paper's parameterization (§VI-A), metadata entries are
-// charged a fixed 30 bytes each by default; set `metadata_entry_bytes = 0`
-// to charge the true canonical encoding instead. The flat charge wins over
-// `compress_entries` sizing — measuring what entry compression buys
-// requires `metadata_entry_bytes = 0` (bench/tab_wire does exactly that).
+// `wire_size` runs the encoder itself into a counting ByteWriter, so the
+// charge is the length of what `encode` writes, apart from two documented
+// modelling overrides (net/codec.cc):
 //
-// `encode`/`decode` provide a lossless round trip of the control structure
-// (payload *content* is synthetic in simulation, so a chunk's bytes are
-// represented by size + content hash, while `wire_size` charges the full
-// payload length).
+//  * payload content is synthetic, so a chunk or item is encoded as its
+//    size + an 8-byte content hash but charged its full payload length;
+//  * following the paper's parameterization (§VI-A), metadata entries are
+//    charged a flat 30 bytes each by default (`metadata_entry_bytes`), in
+//    the classic entry layout whatever the encoding. Set
+//    `metadata_entry_bytes = 0` to charge the true encoding instead; the
+//    flat charge wins over `compress_entries`, so measuring what entry
+//    compression buys requires 0 (bench/tab_wire does exactly that).
+//
+// `encode`/`decode` provide a lossless round trip of the control structure.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.h"
 #include "net/message.h"
 
 namespace pds::net {
@@ -83,8 +88,9 @@ class Codec {
   [[nodiscard]] const WireConfig& config() const { return cfg_; }
 
  private:
-  [[nodiscard]] std::size_t entry_wire_size(
-      const core::DataDescriptor& d) const;
+  // The frame layout: encode() runs it into a ByteWriter, wire_size() into
+  // a counting one (with the modelling overrides documented in codec.cc).
+  void write(const Message& m, ByteWriter& w) const;
 
   WireConfig cfg_;
 };

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/assert.h"
-#include "common/bytes.h"
 #include "common/hash.h"
 
 namespace pds::util {
@@ -67,31 +66,22 @@ bool BloomFilter::maybe_contains(std::uint64_t key) const {
   return true;
 }
 
-std::size_t BloomFilter::wire_size() const {
-  if (empty_filter()) return 1;  // presence byte only
-  return 1 + 4 + 1 + 8 + bits_.size() * 8;
-}
-
 double BloomFilter::fill_ratio() const {
   if (empty_filter()) return 0.0;
   return static_cast<double>(set_bits_) / static_cast<double>(bit_count());
 }
 
-void BloomFilter::encode(std::vector<std::byte>& out) const {
-  ByteWriter w;
+void BloomFilter::encode(ByteWriter& w) const {
   w.put_u8(empty_filter() ? 0 : 1);
   if (!empty_filter()) {
     w.put_u32(static_cast<std::uint32_t>(bit_count()));
     w.put_u8(static_cast<std::uint8_t>(hash_count_));
     w.put_u64(seed_);
-    for (std::uint64_t word : bits_) w.put_u64(word);
+    w.put_u64s(bits_);
   }
-  auto bytes = w.take();
-  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-BloomFilter BloomFilter::decode(std::span<const std::byte> in) {
-  ByteReader r(in);
+BloomFilter BloomFilter::decode(ByteReader& r) {
   const std::uint8_t present = r.get_u8();
   if (present == 0) return BloomFilter{};
   const std::uint32_t bits = r.get_u32();

@@ -13,6 +13,8 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.h"
+
 namespace pds::util {
 
 class BloomFilter {
@@ -39,10 +41,6 @@ class BloomFilter {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] std::size_t inserted_count() const { return inserted_; }
 
-  // Wire size in bytes: bit array + 13-byte header (u32 bit count, u8 hash
-  // count, u64 seed). This is what the codec charges a query carrying it.
-  [[nodiscard]] std::size_t wire_size() const;
-
   // Raw 64-bit block access for the delta-sync wire path (net/bloom_delta.h):
   // a frame patches individual words of a base filter instead of re-shipping
   // the whole bit array. `set_word` does not touch inserted_count(), which
@@ -56,8 +54,11 @@ class BloomFilter {
   // DESIGN.md §15).
   [[nodiscard]] double fill_ratio() const;
 
-  void encode(std::vector<std::byte>& out) const;
-  static BloomFilter decode(std::span<const std::byte> in);
+  // Self-delimiting: a presence byte, then (if present) u32 bit count,
+  // u8 hash count, u64 seed and the bit array as u64 words.
+  void encode(ByteWriter& w) const;
+  // Throws DecodeError on a malformed header or a truncated body.
+  static BloomFilter decode(ByteReader& r);
 
  private:
   [[nodiscard]] std::size_t bit_index(std::uint64_t key,

@@ -190,7 +190,9 @@ TEST(Codec, ActualEncodingChargedWhenOverrideDisabled) {
   r.receivers = {NodeId(2)};
   core::DataDescriptor d;
   d.set("some_longer_attribute_name", std::string("with a string value"));
-  const std::size_t entry = d.encoded_size();
+  ByteWriter w;
+  d.encode(w);
+  const std::size_t entry = w.size();
   const std::size_t empty = codec.wire_size(r);
   r.metadata.push_back(std::move(d));
   EXPECT_EQ(codec.wire_size(r), empty + entry);
@@ -225,8 +227,14 @@ TEST(Codec, BloomFilterAddsItsWireSize) {
   Codec codec;
   Message q = base_query();
   const std::size_t bare = codec.wire_size(q);
+  const std::size_t bare_encoded = codec.encode(q).size();
   q.exclude = util::BloomFilter::with_capacity(5000, 0.01, 1);
-  EXPECT_EQ(codec.wire_size(q), bare - 1 + q.exclude.wire_size());
+  ByteWriter w;
+  q.exclude.encode(w);
+  // The filter replaces the empty filter's presence byte, and the frame
+  // carries it with no length prefix: charge and encoding grow alike.
+  EXPECT_EQ(codec.wire_size(q), bare - 1 + w.size());
+  EXPECT_EQ(codec.encode(q).size(), bare_encoded - 1 + w.size());
 }
 
 TEST(Codec, QuerySizeIsSmall) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/hash.h"
@@ -114,16 +116,33 @@ TEST(Bytes, StringRoundTrip) {
   EXPECT_EQ(r.get_string(), std::string(1000, 'x'));
 }
 
-TEST(Bytes, RawBytesRoundTrip) {
-  ByteWriter inner;
-  inner.put_u32(123);
+TEST(Bytes, CounterSizesWhatAWriterWrites) {
+  const std::vector<std::uint32_t> halves = {4, 5};
+  const std::vector<std::uint64_t> words = {1, 2, 3};
+  const auto fill = [&](ByteWriter& w) {
+    w.put_u8(1);
+    w.put_u16(2);
+    w.put_u32(3);
+    w.put_u64(4);
+    w.put_f64(0.5);
+    w.put_u32s(halves);
+    w.put_u64s(words);
+    w.put_varint(300);
+    w.put_varint_i64(-70);
+    w.put_string("hello");
+  };
   ByteWriter w;
-  w.put_bytes(inner.bytes());
-
-  ByteReader r(w.bytes());
-  const auto out = r.get_bytes();
-  ByteReader r2(out);
-  EXPECT_EQ(r2.get_u32(), 123u);
+  fill(w);
+  ByteWriter c = ByteWriter::counter();
+  fill(c);
+  EXPECT_TRUE(c.counting());
+  EXPECT_FALSE(w.counting());
+  EXPECT_EQ(c.size(), w.size());
+  EXPECT_TRUE(c.bytes().empty());
+  c.count(10);
+  EXPECT_EQ(c.size(), w.size() + 10);
+  // A counter keeps the string length check.
+  EXPECT_THROW(c.put_string(std::string(70000, 'x')), DecodeError);
 }
 
 TEST(Bytes, UnderrunThrows) {

@@ -8,10 +8,10 @@
 // The digests assume libstdc++: its unordered-container hash order fixes
 // store match order and therefore wire order, and its <random>
 // distributions fix every draw. ROADMAP items 2 (portable draws) and 3 (an
-// insertion-ordered store), like the size fix in item 4a, change same-seed
-// outcomes on purpose and re-baseline these digests once; any other change
-// to them is a regression. On a mismatch the test prints the outcome text,
-// so a reviewer can see which field moved.
+// insertion-ordered store) change same-seed outcomes on purpose and
+// re-baseline these digests once; any other change to them is a
+// regression. On a mismatch the test prints the outcome text, so a
+// reviewer can see which field moved.
 #include <gtest/gtest.h>
 
 #include <charconv>

@@ -6,6 +6,7 @@
 #include <bit>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "net/bloom_delta.h"
 #include "util/bloom_filter.h"
@@ -83,9 +84,11 @@ TEST(BloomFilter, EncodeDecodeRoundTrip) {
   BloomFilter f = BloomFilter::with_capacity(100, 0.01, 5);
   for (std::uint64_t k = 0; k < 100; ++k) f.insert(k * 977);
 
-  std::vector<std::byte> bytes;
-  f.encode(bytes);
-  const BloomFilter g = BloomFilter::decode(bytes);
+  ByteWriter w;
+  f.encode(w);
+  ByteReader r(w.bytes());
+  const BloomFilter g = BloomFilter::decode(r);
+  EXPECT_TRUE(r.done());
   EXPECT_EQ(g.bit_count(), f.bit_count());
   EXPECT_EQ(g.hash_count(), f.hash_count());
   EXPECT_EQ(g.seed(), f.seed());
@@ -96,18 +99,25 @@ TEST(BloomFilter, EncodeDecodeRoundTrip) {
 
 TEST(BloomFilter, EmptyEncodeDecode) {
   BloomFilter f;
-  std::vector<std::byte> bytes;
-  f.encode(bytes);
-  EXPECT_EQ(bytes.size(), 1u);
-  EXPECT_TRUE(BloomFilter::decode(bytes).empty_filter());
+  ByteWriter w;
+  f.encode(w);
+  EXPECT_EQ(w.size(), 1u);
+  ByteReader r(w.bytes());
+  EXPECT_TRUE(BloomFilter::decode(r).empty_filter());
 }
 
 TEST(BloomFilter, WireSizeScalesWithCapacity) {
+  const auto encoded_size = [](const BloomFilter& f) {
+    ByteWriter w = ByteWriter::counter();
+    f.encode(w);
+    return w.size();
+  };
   const BloomFilter small = BloomFilter::with_capacity(100, 0.01, 1);
   const BloomFilter big = BloomFilter::with_capacity(10000, 0.01, 1);
-  EXPECT_LT(small.wire_size(), big.wire_size());
-  // ~9.6 bits/element at 1% fpp.
-  EXPECT_NEAR(static_cast<double>(big.wire_size()), 10000 * 9.6 / 8, 2000);
+  EXPECT_LT(encoded_size(small), encoded_size(big));
+  // ~9.6 bits/element at 1% fpp, plus the 14-byte header.
+  EXPECT_NEAR(static_cast<double>(encoded_size(big)), 10000 * 9.6 / 8, 2000);
+  EXPECT_EQ(encoded_size(big), 14 + big.bit_count() / 8);
 }
 
 TEST(BloomFilter, FillRatioGrowsWithInsertions) {
@@ -153,9 +163,10 @@ TEST(BloomFilter, FillRatioMatchesPopcountAfterEveryWrite) {
   f.set_word(3, 0x5555555555555555ULL);  // raises some, clears others
   EXPECT_EQ(f.fill_ratio(), recounted_fill(f));
 
-  std::vector<std::byte> bytes;
-  f.encode(bytes);
-  const BloomFilter decoded = BloomFilter::decode(bytes);
+  ByteWriter w;
+  f.encode(w);
+  ByteReader r(w.bytes());
+  const BloomFilter decoded = BloomFilter::decode(r);
   EXPECT_EQ(decoded.fill_ratio(), recounted_fill(decoded));
   EXPECT_EQ(decoded.fill_ratio(), f.fill_ratio());
 

@@ -6,10 +6,10 @@
 // Three rule families:
 //
 //   wire-taint       — values originating from ByteReader/varint getters
-//                      (get_u8 ... get_varint, get_string, get_bytes) are
-//                      tainted until compared against a bound; tainted
-//                      values must not reach resize/reserve/assign-count,
-//                      new[] extents, index expressions or loop bounds.
+//                      (get_u8 ... get_varint, get_string) are tainted
+//                      until compared against a bound; tainted values
+//                      must not reach resize/reserve/assign-count, new[]
+//                      extents, index expressions or loop bounds.
 //                      Interprocedural via per-function summaries: taint
 //                      through locals, arguments and return values.
 //   decode-atomicity — a function that can throw DecodeError must not
@@ -205,7 +205,7 @@ using SummaryMap = std::map<std::string, Summary>;
 inline bool is_source_method(const std::string& s) {
   static const std::set<std::string> kSources = {
       "get_u8",  "get_u16",    "get_u32",       "get_u64",   "get_i64",
-      "get_f64", "get_varint", "get_varint_i64", "get_string", "get_bytes"};
+      "get_f64", "get_varint", "get_varint_i64", "get_string"};
   return kSources.count(s) != 0;
 }
 
